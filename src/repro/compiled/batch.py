@@ -47,10 +47,12 @@ the pop order exactly.
 
 from __future__ import annotations
 
-import logging
 import os
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+import time
+from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
+from ..core.explore_core import PrefilterAnswers, ignore_charge
+from ..errors import ExplorationError
 from .enumerate import MaskAllocationEnumerator
 from .spec import CompiledSpec
 
@@ -58,8 +60,6 @@ try:  # numpy is an optional accelerator, never a dependency
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the stub in CI
     _np = None
-
-logger = logging.getLogger(__name__)
 
 #: Candidates per vectorized block (bounds temp-array memory; the
 #: per-block Python overhead is amortised over this many candidates).
@@ -97,18 +97,19 @@ def numpy_version() -> Optional[str]:
     return None if _np is None else str(_np.__version__)
 
 
-def _materialize_max_bits() -> int:
+def _int_gate(name: str, default: int) -> int:
+    """The integer value of environment gate ``name`` (``default``
+    when unset or empty); anything else raises :class:`ExplorationError`
+    naming the variable and the value."""
+    raw = os.environ.get(name, "")
+    if not raw:
+        return default
     try:
-        return int(os.environ.get("REPRO_MATERIALIZE_MAX_BITS", ""))
+        return int(raw)
     except ValueError:
-        return MATERIALIZE_MAX_BITS_DEFAULT
-
-
-def _min_vector_bits() -> int:
-    try:
-        return int(os.environ.get("REPRO_VECTORIZE_MIN_BITS", ""))
-    except ValueError:
-        return MIN_VECTOR_BITS_DEFAULT
+        raise ExplorationError(
+            f"environment variable {name} must be an integer, got {raw!r}"
+        ) from None
 
 
 def popcount64(values):
@@ -279,6 +280,50 @@ class BlockKernel:
         )
         return values[inverse]
 
+    # -- all pre-filters -----------------------------------------------
+    def checks(
+        self,
+        masks,
+        use_possible_filter: bool,
+        prune_comm: bool,
+        use_estimation: bool,
+        weighted: bool,
+        charge: Callable[[str, float], None] = ignore_charge,
+    ):
+        """``(possible, comm_pruned, estimate)`` arrays for a block.
+
+        Row restriction mirrors the scalar loop's short-circuiting:
+        communication pruning is only computed for rows that pass the
+        possible filter (all rows when the filter is off), estimates
+        only for rows that pass both — other rows hold unread defaults.
+        Wall-clock goes to ``charge`` as the ``filter`` and ``estimate``
+        phases.
+        """
+        np = _np
+        clock = time.perf_counter
+        t0 = clock()
+        n = len(masks)
+        if use_possible_filter:
+            possible = self.possible(masks)
+        else:
+            possible = np.ones(n, dtype=bool)
+        alive = possible
+        comm = np.zeros(n, dtype=bool)
+        if prune_comm:
+            rows = np.nonzero(alive)[0]
+            if len(rows):
+                comm[rows] = self.comm_pruned(self.usable(masks[rows]))
+            alive = alive & ~comm
+        charge("filter", clock() - t0)
+        estimates = np.zeros(n, dtype=np.float64)
+        if use_estimation:
+            t0 = clock()
+            rows = np.nonzero(alive)[0]
+            if len(rows):
+                estimates[rows] = self.estimates(masks[rows], weighted)
+            charge("estimate", clock() - t0)
+        return possible, comm, estimates
+
 
 def kernel_for(cspec: CompiledSpec) -> BlockKernel:
     """The interned block kernel of a compiled spec (numpy must be on)."""
@@ -401,11 +446,12 @@ class BlockContext:
 
     Two consumption modes, both byte-identical to the scalar loop:
 
-    * :meth:`run_fast` — the whole incumbent-dependent replay over
-      block arrays (used when nothing observes per-candidate events);
-    * :meth:`candidates` + the evaluator facade — a drop-in
-      ``(cost, units)`` stream whose per-candidate check answers are
-      served from the block arrays, for traced/observed runs.
+    * :meth:`run_fast` — counts whole blocks with numpy and hands the
+      :class:`~repro.core.explore_core.ExploreCore` only the candidates
+      it evaluates (used when nothing observes per-candidate events);
+    * :meth:`candidates` — a ``(cost, units, answers)`` stream whose
+      pre-filter answers come from the block arrays, for traced and
+      observed runs.
     """
 
     def __init__(
@@ -418,11 +464,9 @@ class BlockContext:
         use_possible_filter: bool,
         prune_comm: bool,
         use_estimation: bool,
-        sinks: Tuple[object, ...] = (),
+        charge: Callable[[str, float], None] = ignore_charge,
         block_rows: int = BLOCK_ROWS,
     ) -> None:
-        import time
-
         self.evaluator = evaluator
         self.cs = evaluator.cs
         self.kernel = kernel_for(self.cs)
@@ -436,73 +480,59 @@ class BlockContext:
         self.use_possible_filter = use_possible_filter
         self.prune_comm = prune_comm
         self.use_estimation = use_estimation
-        self.sinks = tuple(s for s in sinks if s is not None)
+        #: Wall-clock phase callback (``charge(phase, seconds)``).
+        self.charge = charge
         self.block_rows = block_rows
         self.clock = time.perf_counter
-        self.materialized = (
-            len(extra_names) <= _materialize_max_bits()
+        self.materialized = len(extra_names) <= _int_gate(
+            "REPRO_MATERIALIZE_MAX_BITS", MATERIALIZE_MAX_BITS_DEFAULT
         )
-        # Eventful-mode cursor: the last yielded candidate's answers.
-        self.cur_units: Optional[FrozenSet[str]] = None
-        self.cur_possible = True
-        self.cur_comm = False
-        self.cur_estimate = 0.0
+
+    @staticmethod
+    def serves(cs: CompiledSpec, extra_names: List[str]) -> bool:
+        """Whether the vectorized kernel can serve a run enumerating
+        ``extra_names``: not when numpy is absent or disabled, with more
+        than 64 unit bits or nothing to enumerate, or with a negative-cost
+        unit (the heap stream is only globally cost-sorted for costs
+        >= 0); nor when it would not pay for itself (fewer than
+        ``REPRO_VECTORIZE_MIN_BITS`` enumerated units: sub-millisecond
+        searches are faster scalar than the kernel's array setup)."""
+        if len(extra_names) < _int_gate(
+            "REPRO_VECTORIZE_MIN_BITS", MIN_VECTOR_BITS_DEFAULT
+        ):
+            return False
+        if active_numpy() is None:
+            return False
+        if not 0 < cs.unit_count <= 64:
+            return False
+        catalog = cs.spec.units
+        return all(catalog.unit(n).cost >= 0 for n in extra_names)
 
     # -- plumbing -------------------------------------------------------
-    def _charge(self, phase: str, seconds: float) -> None:
-        for sink in self.sinks:
-            sink.charge(phase, seconds)
-
     def _blocks(self):
         if self.materialized:
             return _iter_materialized_blocks(
                 self.enum,
                 self.include_empty,
                 self.block_rows,
-                self._charge,
+                self.charge,
                 self.clock,
             )
         return _iter_band_blocks(
-            self.enum, self.block_rows, self._charge, self.clock
+            self.enum, self.block_rows, self.charge, self.clock
         )
 
     def _checks(self, full_masks):
-        """(possible, comm_pruned, estimate) arrays for a block.
-
-        Row restriction mirrors the scalar loop's short-circuiting:
-        communication pruning is only computed for rows that pass the
-        possible filter (all rows when the filter is off), estimates
-        only for rows that pass both — other rows hold unread defaults.
-        """
-        np = _np
-        kernel = self.kernel
-        t0 = self.clock()
-        n = len(full_masks)
-        if self.use_possible_filter:
-            possible = kernel.possible(full_masks)
-            alive = possible
-        else:
-            possible = np.ones(n, dtype=bool)
-            alive = possible
-        comm = np.zeros(n, dtype=bool)
-        if self.prune_comm:
-            rows = np.nonzero(alive)[0]
-            if len(rows):
-                comm[rows] = kernel.comm_pruned(
-                    kernel.usable(full_masks[rows])
-                )
-            alive = alive & ~comm
-        self._charge("filter", self.clock() - t0)
-        estimates = np.zeros(n, dtype=np.float64)
-        if self.use_estimation:
-            t0 = self.clock()
-            rows = np.nonzero(alive)[0]
-            if len(rows):
-                estimates[rows] = kernel.estimates(
-                    full_masks[rows], self.evaluator.weighted
-                )
-            self._charge("estimate", self.clock() - t0)
-        return possible, comm, estimates
+        """The block's pre-filter answer arrays
+        (:meth:`BlockKernel.checks`)."""
+        return self.kernel.checks(
+            full_masks,
+            self.use_possible_filter,
+            self.prune_comm,
+            self.use_estimation,
+            self.evaluator.weighted,
+            self.charge,
+        )
 
     def _materialise_units(self, extras_mask: int) -> FrozenSet[str]:
         """The candidate's unit set, with the mask handed off by
@@ -513,55 +543,48 @@ class BlockContext:
         return units
 
     # -- eventful mode --------------------------------------------------
-    def candidates(self) -> Iterator[Tuple[float, FrozenSet[str]]]:
-        """The scalar enumerator's ``(cost, extras)`` stream, with the
-        per-candidate check answers staged for the evaluator facade."""
+    def candidates(
+        self,
+    ) -> Iterator[Tuple[float, FrozenSet[str], PrefilterAnswers]]:
+        """The scalar enumerator's candidates as ``(cost, units,
+        answers)``, each candidate's pre-filter answers read from the
+        block arrays."""
+        required_cost = self.required_cost
+        materialise = self._materialise_units
         for ecosts, emasks in self._blocks():
-            full = emasks | self.required_mask
-            possible, comm, estimates = self._checks(full)
-            cs = self.cs
-            names_of = cs.names_of
-            for i in range(len(ecosts)):
-                extras_mask = int(emasks[i])
-                extras = names_of(extras_mask)
-                cs._enum_memo = (extras, extras_mask)
-                self.cur_units = extras
-                self.cur_possible = bool(possible[i])
-                self.cur_comm = bool(comm[i])
-                self.cur_estimate = float(estimates[i])
-                yield float(ecosts[i]), extras
-
-    def facade(self):
-        """An evaluator view answering the pre-filter checks from the
-        staged block results (identity-matched; anything else falls
-        through to the scalar evaluator)."""
-        return _BlockFacade(self.evaluator, self)
+            possible, comm, estimates = self._checks(
+                emasks | self.required_mask
+            )
+            for extra_cost, extras_mask, answers in zip(
+                ecosts.tolist(),
+                emasks.tolist(),
+                zip(possible.tolist(), comm.tolist(), estimates.tolist()),
+            ):
+                yield (
+                    required_cost + extra_cost,
+                    materialise(extras_mask),
+                    PrefilterAnswers(*answers),
+                )
 
     # -- fast mode ------------------------------------------------------
-    def run_fast(
-        self,
-        stats,
-        points: List,
-        solver_counter: List[int],
-        f_cur: float,
-        f_max: float,
-        max_cost: Optional[float],
-        emitter=None,
-    ) -> float:
-        """The serial EXPLORE loop over whole blocks (no per-candidate
-        observers: no tracer, no audit, inactive progress emitter, no
-        ``keep_ties``/``max_candidates``).
+    def run_fast(self, core) -> None:
+        """The serial EXPLORE walk over whole blocks, for runs without
+        per-candidate observers (no tracer, inactive progress emitter,
+        no ``keep_ties``/``max_candidates``).
 
-        Mutates ``stats``/``points``/``solver_counter`` exactly as the
-        scalar loop would and returns the final incumbent flexibility.
+        Candidates are counted in bulk; only the ones passing the
+        incumbent bound are evaluated and handed to ``core``, leaving
+        ``core.stats`` exactly as the scalar loop would.
         """
         np = _np
+        stats = core.stats
         evaluator = self.evaluator
+        max_cost = core.max_cost
         use_filter = self.use_possible_filter
         use_comm = self.prune_comm
         use_est = self.use_estimation
         for ecosts, emasks in self._blocks():
-            if f_cur >= f_max:
+            if core.bound_reached:
                 break
             limit = len(ecosts)
             tot = self.required_cost + ecosts
@@ -604,7 +627,7 @@ class BlockContext:
             while position < len(survivors):
                 if use_est:
                     passing = np.nonzero(
-                        estimates[survivors[position:]] > f_cur
+                        estimates[survivors[position:]] > core.f_cur
                     )[0]
                     if not len(passing):
                         break
@@ -614,124 +637,22 @@ class BlockContext:
                 count_to(row + 1)
                 stats.estimate_exceeded += 1
                 units = self._materialise_units(int(emasks[row]))
+                counter = [0]
                 implementation = evaluator.evaluate(
-                    units, solver_counter=solver_counter
+                    units, solver_counter=counter
                 )
-                if implementation is None:
-                    continue
-                stats.feasible_implementations += 1
-                if implementation.flexibility > f_cur:
-                    points.append(implementation)
-                    f_cur = implementation.flexibility
-                    if emitter is not None:
-                        emitter.incumbent(
-                            implementation.cost,
-                            implementation.flexibility,
-                            implementation.units,
-                            stats.candidates_enumerated,
-                            stats.estimate_exceeded,
-                        )
-                    logger.debug(
-                        "incumbent: cost=%g flexibility=%g after %d "
-                        "candidates",
-                        implementation.cost,
-                        implementation.flexibility,
-                        stats.candidates_enumerated,
-                    )
-                    if f_cur >= f_max:
-                        # The scalar loop breaks at the *next* candidate
-                        # before counting it.
-                        stopped = True
-                        break
+                core.record(
+                    float(tot[row]), units, implementation, counter[0]
+                )
+                if core.bound_reached:
+                    # The scalar loop stops at the *next* candidate
+                    # before counting it.
+                    stopped = True
+                    break
             if not stopped:
                 count_to(limit)
             if stopped or over_budget:
                 break
-        return f_cur
-
-
-class _BlockFacade:
-    """Evaluator view for eventful block runs: answers the three
-    pre-filter checks from the staged block results when the query is
-    for the candidate the stream just yielded (identity match), and
-    delegates everything else — including all evaluations — to the
-    scalar evaluator."""
-
-    __slots__ = ("_inner", "_ctx")
-
-    def __init__(self, inner, ctx: BlockContext) -> None:
-        self._inner = inner
-        self._ctx = ctx
-
-    def possible(self, units) -> bool:
-        ctx = self._ctx
-        if units is ctx.cur_units:
-            return ctx.cur_possible
-        return self._inner.possible(units)
-
-    def comm_pruned(self, units) -> bool:
-        ctx = self._ctx
-        if units is ctx.cur_units:
-            return ctx.cur_comm
-        return self._inner.comm_pruned(units)
-
-    def estimate(self, units) -> float:
-        ctx = self._ctx
-        if units is ctx.cur_units:
-            return ctx.cur_estimate
-        return self._inner.estimate(units)
-
-    def evaluate(self, units, solver_counter=None, detail=None):
-        return self._inner.evaluate(
-            units, solver_counter=solver_counter, detail=detail
-        )
-
-    def infeasibility_reason(self, units) -> str:
-        return self._inner.infeasibility_reason(units)
-
-
-def make_block_context(
-    evaluator,
-    extra_names: List[str],
-    include_empty: bool,
-    required: FrozenSet[str],
-    required_cost: float,
-    *,
-    use_possible_filter: bool,
-    prune_comm: bool,
-    use_estimation: bool,
-    sinks: Tuple[object, ...] = (),
-    block_rows: int = BLOCK_ROWS,
-) -> Optional[BlockContext]:
-    """A :class:`BlockContext` for one run, or ``None`` when the
-    vectorized kernel cannot serve it (numpy absent or disabled, more
-    than 64 unit bits, nothing to enumerate, or a negative-cost unit —
-    the heap stream is only globally cost-sorted for costs >= 0) or
-    would not pay for itself (fewer than ``REPRO_VECTORIZE_MIN_BITS``
-    enumerated units: sub-millisecond searches are faster scalar than
-    the kernel's array setup)."""
-    if active_numpy() is None:
-        return None
-    if len(extra_names) < _min_vector_bits():
-        return None
-    cs = evaluator.cs
-    if not 0 < cs.unit_count <= 64:
-        return None
-    catalog = cs.spec.units
-    if any(catalog.unit(n).cost < 0 for n in extra_names):
-        return None
-    return BlockContext(
-        evaluator,
-        list(extra_names),
-        include_empty,
-        required,
-        required_cost,
-        use_possible_filter,
-        prune_comm,
-        use_estimation,
-        sinks=sinks,
-        block_rows=block_rows,
-    )
 
 
 def batch_outcomes(
@@ -740,10 +661,10 @@ def batch_outcomes(
     """Vectorized :func:`repro.parallel.worker.evaluate_candidate` over
     one dispatched batch, or ``None`` when the kernel cannot run.
 
-    The pre-filter checks run as one block; candidates that survive
-    speculation fall through to the scalar evaluator (memoised binding
-    verdicts), replicating the worker's short-circuit order field for
-    field.
+    The pre-filter checks run as one block; the worker pipeline then
+    reads each candidate's answers from the block arrays, and the ones
+    that survive speculation are evaluated by the scalar evaluator
+    (memoised binding verdicts).
     """
     np = active_numpy()
     if np is None or not unit_sets:
@@ -751,63 +672,28 @@ def batch_outcomes(
     cs = evaluator.cs
     if not 0 < cs.unit_count <= 64:
         return None
-    from ..parallel.worker import CandidateOutcome
+    from ..parallel.worker import evaluate_candidate
 
-    kernel = kernel_for(cs)
     mask_ints = [cs.mask_of(units) for units in unit_sets]
-    masks = np.array(mask_ints, dtype=np.uint64)
-    n = len(masks)
-    if params.use_possible_filter:
-        possible = kernel.possible(masks)
-        alive = possible
-    else:
-        possible = np.ones(n, dtype=bool)
-        alive = possible
-    comm = np.zeros(n, dtype=bool)
-    if params.prune_comm:
-        rows = np.nonzero(alive)[0]
-        if len(rows):
-            comm[rows] = kernel.comm_pruned(kernel.usable(masks[rows]))
-        alive = alive & ~comm
-    estimates = np.zeros(n, dtype=np.float64)
-    if params.use_estimation:
-        rows = np.nonzero(alive)[0]
-        if len(rows):
-            estimates[rows] = kernel.estimates(
-                masks[rows], evaluator.weighted
-            )
+    possible, comm, estimates = kernel_for(cs).checks(
+        np.array(mask_ints, dtype=np.uint64),
+        params.use_possible_filter,
+        params.prune_comm,
+        params.use_estimation,
+        evaluator.weighted,
+    )
     outcomes: List[object] = []
-    for i, units in enumerate(unit_sets):
-        out = CandidateOutcome()
-        if params.use_possible_filter:
-            out.possible = bool(possible[i])
-            if not out.possible:
-                outcomes.append(out)
-                continue
-        if params.prune_comm:
-            out.comm_pruned = bool(comm[i])
-            if out.comm_pruned:
-                outcomes.append(out)
-                continue
-        if params.use_estimation:
-            out.estimate = float(estimates[i])
-            speculate = out.estimate > f_entry or (
-                params.keep_ties and out.estimate == f_entry
+    for units, mask, answers in zip(
+        unit_sets,
+        mask_ints,
+        zip(possible.tolist(), comm.tolist(), estimates.tolist()),
+    ):
+        cs._enum_memo = (units, mask)
+        outcomes.append(
+            evaluate_candidate(
+                evaluator, params, units, f_entry, PrefilterAnswers(*answers)
             )
-            if not speculate:
-                outcomes.append(out)
-                continue
-        counter = [0]
-        cs._enum_memo = (units, mask_ints[i])
-        implementation = evaluator.evaluate(units, solver_counter=counter)
-        out.evaluated = True
-        out.solver_calls = counter[0]
-        if implementation is not None:
-            out.feasible = True
-            out.flexibility = implementation.flexibility
-            out.clusters = implementation.clusters
-            out.coverage = implementation.coverage
-        outcomes.append(out)
+        )
     return outcomes
 
 
@@ -820,7 +706,6 @@ __all__ = [
     "active_numpy",
     "batch_outcomes",
     "kernel_for",
-    "make_block_context",
     "materialized_order",
     "numpy_version",
     "popcount64",

@@ -36,6 +36,7 @@ from ..core.evaluation import (
     SCHEDULE_SEARCH_LIMIT,
     TIMING_MODES,
 )
+from ..core.explore_core import ignore_charge
 from ..core.result import EcsRecord, Implementation
 from ..timing import PAPER_UTILIZATION_BOUND, schedule_meets_periods
 from .enumerate import MaskAllocationEnumerator
@@ -153,25 +154,27 @@ class CompiledEvaluator:
         use_possible_filter: bool = True,
         prune_comm: bool = True,
         use_estimation: bool = True,
-        sinks: Tuple = (),
+        charge=ignore_charge,
     ):
         """A batch-vectorized exploration context
         (:class:`repro.compiled.batch.BlockContext`), or ``None`` when
         the vectorized kernel cannot serve this run (numpy absent or
         disabled, >64 unit bits, negative-cost units) — callers then
         use the scalar enumerator/check path, with identical results."""
-        from .batch import make_block_context
+        from .batch import BlockContext
 
-        return make_block_context(
+        if not BlockContext.serves(self.cs, extra_names):
+            return None
+        return BlockContext(
             self,
-            extra_names,
+            list(extra_names),
             include_empty,
             required,
             required_cost,
-            use_possible_filter=use_possible_filter,
-            prune_comm=prune_comm,
-            use_estimation=use_estimation,
-            sinks=sinks,
+            use_possible_filter,
+            prune_comm,
+            use_estimation,
+            charge=charge,
         )
 
     def block_outcomes(

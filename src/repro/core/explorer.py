@@ -15,11 +15,15 @@ semantics implemented here is: attempt an implementation when the
 *estimate* exceeds the best implemented flexibility, and record it when
 the *achieved* flexibility does.
 
-The loop body is shared with the parallel batched explorer
-(:mod:`repro.parallel`), selected through ``explore(parallel=...)``:
-the batched path fans candidate evaluation out to a worker pool and
-replays the results in the serial candidate order, reproducing this
-module's pruning decisions, statistics and tie-breaking exactly.
+Every incumbent-dependent decision — the stops, the prunes, incumbent
+and tie recording, the final dominance pass — lives in
+:class:`repro.core.explore_core.ExploreCore`; this module's serial loop
+only supplies each candidate's answers, computed on demand by the
+engine evaluator or read from the block-vectorized kernel.  The
+parallel batched explorer (:mod:`repro.parallel`), selected through
+``explore(parallel=...)``, runs the same core over worker-computed
+outcomes in the serial candidate order, so pruning decisions,
+statistics and tie-breaking are identical by construction.
 """
 
 from __future__ import annotations
@@ -28,11 +32,9 @@ import logging
 import time
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional
 
-from ..boolexpr import Expr
 from ..errors import ExplorationError
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
-from .candidates import possible_allocation_expr
 from .estimate import estimate_flexibility
 from .evaluation import (
     BINDING_BACKENDS,
@@ -42,7 +44,7 @@ from .evaluation import (
     charge_cache_counters,
     make_evaluator,
 )
-from .pareto import final_front
+from .explore_core import EvaluatorAnswers, ExploreCore
 from .progress import ProgressEmitter
 from .result import ExplorationResult, ExplorationStats
 
@@ -71,8 +73,8 @@ def warm_store_path(warm_store) -> Optional[str]:
 
 
 class ExplorationSetup(NamedTuple):
-    """Validated, precomputed inputs shared by the serial and batched
-    exploration loops."""
+    """Validated, precomputed inputs shared by the exploration drivers
+    (the possible-allocation equation is the engine evaluator's)."""
 
     #: Units every candidate must contain (resolved names).
     required: FrozenSet[str]
@@ -82,8 +84,6 @@ class ExplorationSetup(NamedTuple):
     extra_names: List[str]
     #: Total cost of the required units.
     required_cost: float
-    #: The possible-resource-allocation boolean equation.
-    possible: Expr
     #: Global flexibility upper bound (the stop condition).
     f_max: float
 
@@ -159,9 +159,7 @@ def prepare_exploration(
     """Validate the specification/constraints and precompute run inputs.
 
     ``evaluator`` — when given, the engine evaluator computes ``f_max``
-    (both engines agree on every estimate, differentially tested); the
-    possible-allocation expression is cached on the specification
-    either way, so repeated preparations stop recompiling it.
+    (both engines agree on every estimate, differentially tested).
     """
     if not spec.frozen:
         raise ExplorationError("specification must be frozen before explore()")
@@ -188,7 +186,6 @@ def prepare_exploration(
             "specification has zero-cost units; pass max_cost to bound "
             "the enumeration"
         )
-    possible = possible_allocation_expr(spec)
     required_cost = spec.units.total_cost(required)
     all_usable = set(spec.units.names()) - forbidden
     if evaluator is not None:
@@ -196,31 +193,64 @@ def prepare_exploration(
     else:
         f_max = estimate_flexibility(spec, all_usable, weighted)
     return ExplorationSetup(
-        required, forbidden, extra_names, required_cost, possible, f_max
+        required, forbidden, extra_names, required_cost, f_max
     )
 
 
-def _charged_enumeration(stream, sinks):
+def _charged_enumeration(stream, charge):
     """Yield from ``stream``, charging each pull's wall-clock to the
-    ``enumerate`` phase of every sink (tracer/profiler).  Pure
+    ``enumerate`` phase (:meth:`ExploreCore.charge`).  Pure
     observation on the wall-clock channel — ``phase_totals`` records
     are excluded from trace fingerprints."""
-    sinks = tuple(s for s in sinks if s is not None)
     iterator = iter(stream)
     clock = time.perf_counter
+    end = object()
     while True:
         t0 = clock()
-        try:
-            item = next(iterator)
-        except StopIteration:
-            dt = clock() - t0
-            for sink in sinks:
-                sink.charge("enumerate", dt)
+        item = next(iterator, end)
+        charge("enumerate", clock() - t0)
+        if item is end:
             return
-        dt = clock() - t0
-        for sink in sinks:
-            sink.charge("enumerate", dt)
         yield item
+
+
+def _scalar_candidates(evaluator, setup: ExplorationSetup, core):
+    """The engine enumerator's ``(cost, units, answers)`` stream, each
+    candidate's pre-filter answers computed on demand."""
+    required = setup.required
+    stream = evaluator.enumerator(
+        setup.extra_names, include_empty=bool(required)
+    )
+    if core.sinks:
+        stream = _charged_enumeration(stream, core.charge)
+    # One answers view, re-pointed at each candidate: the core reads it
+    # before the next candidate is pulled.
+    answers = EvaluatorAnswers(evaluator, None, core.charge)
+    for extra_cost, extras in stream:
+        # Preserve the enumerator's frozenset identity when nothing is
+        # required — the compiled engine keys its units->mask handoff
+        # memo on it (a union would copy and defeat the memo).
+        answers.units = required | extras if required else extras
+        yield setup.required_cost + extra_cost, answers.units, answers
+
+
+def _evaluate(evaluator, units, core: ExploreCore):
+    """Evaluate one candidate: the :meth:`ExploreCore.record` arguments
+    after ``(cost, units)``.  Observed runs also collect the solver's
+    phase breakdown (``detail``)."""
+    counter = [0]
+    detail = {} if core.sinks else None
+    t0 = time.perf_counter()
+    implementation = evaluator.evaluate(
+        units, solver_counter=counter, detail=detail
+    )
+    t1 = time.perf_counter()
+    core.charge("evaluate", t1 - t0)
+    if detail is not None:
+        core.charge("binding", detail.get("binding_seconds", 0.0))
+        if detail.get("timing_checks"):
+            core.charge("timing", detail["timing_seconds"])
+    return implementation, counter[0], t0, t1, detail
 
 
 def explore(
@@ -476,17 +506,24 @@ def explore(
     stats = ExplorationStats()
     stats.design_space_size = 1 << len(setup.extra_names)
     f_max = setup.f_max
-    f_cur = 0.0
-    points = []
-    solver_counter = [0]
-    audit = tracer is not None and tracer.audit
-    # Telemetry rides the tracer's phase seam (duck-typed: Telemetry
-    # and PhaseProfiler both expose ``.profiler``); kept import-free so
-    # the core never depends on repro.telemetry.
-    profiler = getattr(telemetry, "profiler", None)
-    emitter.start(stats.design_space_size, f_max)
-    if tracer is not None:
-        tracer.start(stats.design_space_size, f_max)
+    core = ExploreCore(
+        stats,
+        f_max,
+        max_cost=max_cost,
+        max_candidates=max_candidates,
+        use_possible_filter=use_possible_filter,
+        use_estimation=use_estimation,
+        prune_comm=prune_comm,
+        keep_ties=keep_ties,
+        infeasibility_reason=evaluator.infeasibility_reason,
+        emitter=emitter,
+        tracer=tracer,
+        # Telemetry rides the tracer's phase seam (duck-typed: Telemetry
+        # and PhaseProfiler both expose ``.profiler``); kept import-free
+        # so the core never depends on repro.telemetry.
+        profiler=getattr(telemetry, "profiler", None),
+    )
+    core.start(stats.design_space_size)
     logger.info(
         "explore start: spec=%s design_space=%d f_max=%g serial",
         spec.name,
@@ -497,11 +534,10 @@ def explore(
     # Batch-vectorized block kernel (repro.compiled.batch): when the
     # engine offers it and numpy is available, candidate enumeration
     # and the incumbent-independent pre-filters run over uint64 blocks.
-    # With no per-candidate observers the whole replay runs blocked
-    # (run_fast); otherwise the loop below consumes the block stream
-    # with per-candidate answers staged behind the evaluator facade.
-    # Results are byte-identical either way (differentially tested).
-    loop_eval = evaluator
+    # With no per-candidate observers the whole walk runs blocked
+    # (run_fast); otherwise the loop below reads each candidate's
+    # answers from the block arrays.  Results are byte-identical either
+    # way (differentially tested).
     block_factory = getattr(evaluator, "block_context", None)
     block = None
     if block_factory is not None:
@@ -513,7 +549,7 @@ def explore(
             use_possible_filter=use_possible_filter,
             prune_comm=prune_comm,
             use_estimation=use_estimation,
-            sinks=(tracer, profiler),
+            charge=core.charge,
         )
     if (
         block is not None
@@ -522,261 +558,22 @@ def explore(
         and not keep_ties
         and max_candidates is None
     ):
-        f_cur = block.run_fast(
-            stats, points, solver_counter, f_cur, f_max, max_cost
-        )
+        block.run_fast(core)
         stream = ()
     elif block is not None:
         stream = block.candidates()
-        loop_eval = block.facade()
     else:
-        stream = evaluator.enumerator(
-            setup.extra_names, include_empty=bool(required)
-        )
-        if tracer is not None or profiler is not None:
-            stream = _charged_enumeration(stream, (tracer, profiler))
+        stream = _scalar_candidates(evaluator, setup, core)
 
-    for extra_cost, extras in stream:
-        cost = setup.required_cost + extra_cost
-        # Preserve the enumerator's frozenset identity when nothing is
-        # required — the compiled engine keys its units->mask handoff
-        # memo on it (a union would copy and defeat the memo).
-        units = required | extras if required else extras
-        if f_cur >= f_max:
-            # With ties kept, continue through candidates of the same
-            # cost as the maximal point before stopping.
-            if not keep_ties or not points or cost > points[-1].cost:
-                if tracer is not None:
-                    tracer.stop(
-                        "flexibility_bound_reached",
-                        cost=cost,
-                        f_max=f_max,
-                        candidates=stats.candidates_enumerated,
-                    )
-                break
-        if max_cost is not None and cost > max_cost:
-            if tracer is not None:
-                tracer.stop(
-                    "cost_bound",
-                    cost=cost,
-                    max_cost=max_cost,
-                    candidates=stats.candidates_enumerated,
-                )
+    for cost, units, answers in stream:
+        if core.halts(cost) or not core.admit(cost):
             break
-        stats.candidates_enumerated += 1
-        emitter.candidate(
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            f_cur,
-        )
-        if (
-            max_candidates is not None
-            and stats.candidates_enumerated > max_candidates
-        ):
-            if tracer is not None:
-                tracer.stop(
-                    "max_candidates",
-                    cost=cost,
-                    max_candidates=max_candidates,
-                    candidates=stats.candidates_enumerated,
-                )
-            break
-        if use_possible_filter:
-            if not loop_eval.possible(units):
-                if audit:
-                    tracer.prune("impossible_allocation", cost, units)
-                continue
-            stats.possible_allocations += 1
-        if prune_comm and loop_eval.comm_pruned(units):
-            stats.pruned_comm += 1
-            if audit:
-                tracer.prune("useless_comm", cost, units)
-            continue
-        estimate = None
-        if use_estimation:
-            stats.estimates_computed += 1
-            if tracer is None and profiler is None:
-                estimate = loop_eval.estimate(units)
-            else:
-                t_est = time.perf_counter()
-                estimate = loop_eval.estimate(units)
-                dt_est = time.perf_counter() - t_est
-                if tracer is not None:
-                    tracer.charge("estimate", dt_est)
-                if profiler is not None:
-                    profiler.charge("estimate", dt_est)
-            if estimate < f_cur or (estimate == f_cur and not keep_ties):
-                if audit:
-                    tracer.prune(
-                        "estimate_below_incumbent",
-                        cost,
-                        units,
-                        estimate=estimate,
-                        incumbent=f_cur,
-                    )
-                continue
-            if (
-                keep_ties
-                and estimate == f_cur
-                and points
-                and cost > points[-1].cost
-            ):
-                # same flexibility at higher cost is dominated
-                if audit:
-                    tracer.prune(
-                        "tie_higher_cost",
-                        cost,
-                        units,
-                        estimate=estimate,
-                        incumbent=f_cur,
-                    )
-                continue
-        stats.estimate_exceeded += 1
-        if tracer is None and profiler is None:
-            implementation = loop_eval.evaluate(
-                units, solver_counter=solver_counter
-            )
-        else:
-            calls_before = solver_counter[0]
-            detail: dict = {}
-            t0 = time.perf_counter()
-            implementation = loop_eval.evaluate(
-                units, solver_counter=solver_counter, detail=detail
-            )
-            t1 = time.perf_counter()
-            for sink in (tracer, profiler):
-                if sink is None:
-                    continue
-                sink.charge("evaluate", t1 - t0)
-                sink.charge("binding", detail.get("binding_seconds", 0.0))
-                if detail.get("timing_checks"):
-                    sink.charge("timing", detail["timing_seconds"])
-            if tracer is not None:
-                tracer.evaluate(
-                    cost,
-                    units,
-                    estimate,
-                    solver_counter[0] - calls_before,
-                    implementation is not None,
-                    implementation.flexibility
-                    if implementation is not None
-                    else 0.0,
-                    f_cur,
-                    t0=t0,
-                    t1=t1,
-                    diag=detail,
-                )
-        if implementation is None:
-            if audit:
-                tracer.prune(
-                    loop_eval.infeasibility_reason(units),
-                    cost,
-                    units,
-                    estimate=estimate,
-                    incumbent=f_cur,
-                )
-            continue
-        stats.feasible_implementations += 1
-        if implementation.flexibility > f_cur:
-            points.append(implementation)
-            f_cur = implementation.flexibility
-            emitter.incumbent(
-                implementation.cost,
-                implementation.flexibility,
-                implementation.units,
-                stats.candidates_enumerated,
-                stats.estimate_exceeded,
-            )
-            if tracer is not None:
-                tracer.incumbent(
-                    implementation.cost,
-                    implementation.flexibility,
-                    implementation.units,
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                )
-            logger.debug(
-                "incumbent: cost=%g flexibility=%g after %d candidates",
-                implementation.cost,
-                implementation.flexibility,
-                stats.candidates_enumerated,
-            )
-        elif (
-            keep_ties
-            and points
-            and implementation.flexibility == f_cur
-            and implementation.cost == points[-1].cost
-            and implementation.units != points[-1].units
-        ):
-            points.append(implementation)
-            emitter.incumbent(
-                implementation.cost,
-                implementation.flexibility,
-                implementation.units,
-                stats.candidates_enumerated,
-                stats.estimate_exceeded,
-            )
-            if tracer is not None:
-                tracer.incumbent(
-                    implementation.cost,
-                    implementation.flexibility,
-                    implementation.units,
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                )
-        elif audit:
-            tracer.prune(
-                "not_improving",
-                cost,
-                units,
-                estimate=estimate,
-                achieved=implementation.flexibility,
-                incumbent=f_cur,
-            )
+        if core.screen(cost, units, answers):
+            core.record(cost, units, *_evaluate(evaluator, units, core))
 
-    # Cost-ordered discovery with strictly increasing flexibility makes
-    # the points mutually non-dominated except for one corner case: a
-    # same-cost candidate later in the tie order may achieve strictly
-    # more flexibility.  A final linear dominance pass removes such
-    # points (see :func:`repro.core.pareto.final_front`).
-    if tracer is None and profiler is None:
-        kept = final_front(points)
-    else:
-        t_pareto = time.perf_counter()
-        kept = final_front(points)
-        dt_pareto = time.perf_counter() - t_pareto
-        for sink in (tracer, profiler):
-            if sink is not None:
-                sink.charge("pareto", dt_pareto)
-    if audit and len(kept) < len(points):
-        survivors = {id(p) for p in kept}
-        for p in points:
-            if id(p) not in survivors:
-                tracer.prune(
-                    "dominated", p.cost, p.units, flexibility=p.flexibility
-                )
-    points = kept
-    stats.solver_invocations = solver_counter[0]
+    points = core.finish()
     charge_cache_counters(stats, evaluator, cache_base)
     stats.elapsed_seconds = time.perf_counter() - started
-    emitter.end(
-        True,
-        None,
-        stats.candidates_enumerated,
-        stats.estimate_exceeded,
-        len(points),
-    )
-    if tracer is not None:
-        tracer.end(
-            True,
-            None,
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            len(points),
-            [list(p.point) for p in points],
-        )
     logger.info(
         "explore end: spec=%s candidates=%d evaluations=%d points=%d "
         "elapsed=%.3fs",

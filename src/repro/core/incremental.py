@@ -24,10 +24,10 @@ from ..errors import ExplorationError
 from ..activation import flatten
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
-from .candidates import AllocationEnumerator, has_useless_comm
-from .estimate import estimate_flexibility, spec_max_flexibility
-from .evaluation import evaluate_allocation
-from .pareto import dominates
+from .candidates import AllocationEnumerator
+from .estimate import spec_max_flexibility
+from .evaluation import ReferenceEvaluator
+from .explore_core import EvaluatorAnswers, ExploreCore
 from .result import ExplorationResult, ExplorationStats, Implementation
 
 
@@ -83,13 +83,13 @@ def explore_upgrades(
     """
     started = time.perf_counter()
     base_set = frozenset(spec.units.unit(u).name for u in base_units)
-    base = evaluate_allocation(
+    evaluator = ReferenceEvaluator(
         spec,
-        base_set,
         util_bound=util_bound,
         check_utilization=check_utilization,
         weighted=weighted,
     )
+    base = evaluator.evaluate(base_set)
     if base is None:
         raise ExplorationError(
             f"base allocation {sorted(base_set)!r} has no feasible "
@@ -107,46 +107,27 @@ def explore_upgrades(
     stats = ExplorationStats()
     stats.design_space_size = 1 << len(remaining)
     f_max = spec_max_flexibility(spec, weighted)
-    f_cur = base.flexibility
-    points: List[Implementation] = [base]
-    solver_counter = [0]
-
+    core = ExploreCore(
+        stats,
+        f_max,
+        max_cost=max_extra_cost,
+        use_possible_filter=False,
+        prune_comm=prune_comm,
+    )
+    core.f_cur = base.flexibility
+    core.points = [base]
+    # The decisions run on the extra cost, which max_extra_cost bounds.
     for extra_cost, extras in AllocationEnumerator(spec, remaining):
-        if f_cur >= f_max:
+        if core.halts(extra_cost) or not core.admit(extra_cost):
             break
-        if max_extra_cost is not None and extra_cost > max_extra_cost:
-            break
-        stats.candidates_enumerated += 1
         units = base_set | extras
-        if prune_comm and has_useless_comm(spec, units):
-            stats.pruned_comm += 1
-            continue
-        stats.estimates_computed += 1
-        estimate = estimate_flexibility(spec, units, weighted)
-        if estimate <= f_cur:
-            continue
-        stats.estimate_exceeded += 1
-        implementation = evaluate_allocation(
-            spec,
-            units,
-            util_bound=util_bound,
-            check_utilization=check_utilization,
-            weighted=weighted,
-            solver_counter=solver_counter,
-        )
-        if implementation is None:
-            continue
-        stats.feasible_implementations += 1
-        if implementation.flexibility > f_cur:
-            points.append(implementation)
-            f_cur = implementation.flexibility
-
-    points = [
-        p
-        for p in points
-        if not any(dominates(q.point, p.point) for q in points)
-    ]
-    stats.solver_invocations = solver_counter[0]
+        if core.screen(
+            extra_cost, units, EvaluatorAnswers(evaluator, units)
+        ):
+            counter = [0]
+            implementation = evaluator.evaluate(units, solver_counter=counter)
+            core.record(extra_cost, units, implementation, counter[0])
+    points = core.finish()
     stats.elapsed_seconds = time.perf_counter() - started
     return UpgradeResult(base, points, stats, f_max)
 

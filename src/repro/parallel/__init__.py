@@ -29,7 +29,8 @@ evaluate identically, so repeated effective sub-allocations across cost
 bands are solved once.
 """
 
-from .batched import BATCH_SIZE_DEFAULT, PARALLEL_MODES, explore_batched
+from ..core.explorer import PARALLEL_MODES
+from .batched import BATCH_SIZE_DEFAULT, explore_batched
 from .cache import EvaluationCache, outcome_checksum, outcome_token
 from .pool import POOL_KINDS, WorkerPool
 from .signature import canonical_signature

@@ -28,7 +28,9 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..core.evaluation import make_evaluator
+from ..core.explore_core import EvaluatorAnswers
 from ..core.result import EcsRecord, Implementation
+from ..errors import ExplorationError
 from ..spec import SpecificationGraph
 
 
@@ -149,6 +151,18 @@ class CandidateOutcome:
             units, cost, self.flexibility, self.clusters, self.coverage
         )
 
+    def evaluation(self, units: FrozenSet[str], cost: float, source: str):
+        """``(implementation, solver_calls)`` of a candidate the replay
+        must evaluate; the speculation invariant guarantees the
+        evaluation happened unless ``source`` is not this run's."""
+        if not self.evaluated:
+            raise ExplorationError(
+                f"internal: {source} holds no speculative evaluation for a "
+                f"candidate passing the incumbent bound (violated "
+                f"monotonicity invariant)"
+            )
+        return self.implementation_for(units, cost), self.solver_calls
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CandidateOutcome(possible={self.possible}, "
@@ -170,26 +184,30 @@ def evaluate_candidate(
     params: EvalParams,
     units: FrozenSet[str],
     f_entry: float,
+    answers=None,
 ) -> CandidateOutcome:
     """Run the incumbent-independent pipeline for one candidate.
 
     ``evaluator`` is the engine evaluator of this run (built once by
     :meth:`EvalParams.evaluator`); both engines expose the same
-    protocol and produce identical outcomes.
+    protocol and produce identical outcomes.  ``answers`` — precomputed
+    pre-filter answers (default: computed by the evaluator on demand).
     """
     if _FAULT_HOOK is not None:
         _FAULT_HOOK("worker", units=units)
+    if answers is None:
+        answers = EvaluatorAnswers(evaluator, units)
     out = CandidateOutcome()
     if params.use_possible_filter:
-        out.possible = evaluator.possible(units)
+        out.possible = answers.possible
         if not out.possible:
             return out
     if params.prune_comm:
-        out.comm_pruned = evaluator.comm_pruned(units)
+        out.comm_pruned = answers.comm_pruned
         if out.comm_pruned:
             return out
     if params.use_estimation:
-        out.estimate = evaluator.estimate(units)
+        out.estimate = answers.estimate
         speculate = out.estimate > f_entry or (
             params.keep_ties and out.estimate == f_entry
         )

@@ -282,3 +282,27 @@ def test_small_spec_floor_falls_back_scalar(monkeypatch):
     assert evaluator.block_context(names, True, frozenset(), 0.0) is None
     monkeypatch.setenv("REPRO_VECTORIZE_MIN_BITS", "0")
     assert evaluator.block_context(names, True, frozenset(), 0.0) is not None
+
+
+@pytest.mark.parametrize(
+    "variable", ["REPRO_VECTORIZE_MIN_BITS", "REPRO_MATERIALIZE_MAX_BITS"]
+)
+def test_numeric_gate_rejects_non_integer(monkeypatch, variable):
+    """A non-integer numeric gate is a typed error naming the variable
+    and the value, never a silent fallback to the default."""
+    from repro.compiled import compiled_evaluator
+    from repro.errors import ExplorationError
+
+    spec = build_settop_spec()
+    names = list(spec.units.names())
+    monkeypatch.setenv("REPRO_VECTORIZE_MIN_BITS", "0")
+    monkeypatch.setenv(variable, "twelve")
+    evaluator = compiled_evaluator(spec)
+    if batch._np is None and variable == "REPRO_MATERIALIZE_MAX_BITS":
+        pytest.skip("the materialization gate is only read with numpy")
+    with pytest.raises(ExplorationError, match=f"{variable}.*'twelve'"):
+        evaluator.block_context(names, True, frozenset(), 0.0)
+    with pytest.raises(ExplorationError, match=variable):
+        explore(spec, engine="compiled")
+    monkeypatch.setenv(variable, "")
+    assert explore(spec, engine="compiled").front()
