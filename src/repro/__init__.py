@@ -72,6 +72,7 @@ from .casestudies import (
 )
 from .core import (
     ExplorationResult,
+    ExploreOptions,
     FailureImpact,
     Implementation,
     ParetoArchive,
@@ -183,6 +184,7 @@ __all__ = [
     "Diagnostic",
     "ExplorationError",
     "ExplorationResult",
+    "ExploreOptions",
     "FailureImpact",
     "FlatProblem",
     "HierarchicalGraph",

@@ -40,7 +40,7 @@ import logging
 import os
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .casestudies import (
@@ -50,7 +50,15 @@ from .casestudies import (
     build_tv_decoder_spec,
     synthetic_spec,
 )
-from .core import explore, explore_upgrades, max_flexibility
+from .core import (
+    ENGINES,
+    PARALLEL_MODES,
+    TIMING_MODES,
+    ExploreOptions,
+    explore,
+    explore_upgrades,
+    max_flexibility,
+)
 from .errors import OverloadedError, ReproError
 from .io import (
     dump_result,
@@ -61,6 +69,7 @@ from .io import (
 )
 from .report import mapping_table, pareto_table, stats_table, tradeoff_plot
 from .spec import ERROR, lint_specification
+from .timing import PAPER_UTILIZATION_BOUND
 
 #: Exit codes.
 EXIT_OK = 0
@@ -72,6 +81,61 @@ EXIT_TRUNCATED = 3
 #: A submission was refused by admission control (the service queue is
 #: full under --max-queued): back off and resubmit.
 EXIT_OVERLOADED = 4
+
+
+def _add_option_flags(parser, job: bool = False) -> None:
+    """The explore-option flags shared by explore, trace and submit.
+
+    A ``job`` (submit) leaves unset flags ``None`` so the spooled job
+    carries only what was asked for, and has no pool flags: the
+    service decides how a job runs.
+    """
+    parser.add_argument(
+        "--util-bound", type=float,
+        default=None if job else PAPER_UTILIZATION_BOUND,
+        help="utilisation acceptance bound (default 0.69)",
+    )
+    parser.add_argument(
+        "--max-cost", type=float, default=None,
+        help="stop at this allocation cost",
+    )
+    parser.add_argument(
+        "--keep-ties", action="store_true", default=None if job else False,
+        help="report equally-optimal allocations of the same cost",
+    )
+    parser.add_argument(
+        "--timing-mode", choices=TIMING_MODES, default=None,
+        help=(
+            "performance test: the paper's 69%% estimate (default), "
+            "exact one-period scheduling, or none"
+        ),
+    )
+    parser.add_argument(
+        "--engine", choices=ENGINES, default=None,
+        help=(
+            "candidate-evaluation engine: the compiled bitmask kernel "
+            "(default) or the reference pipeline; identical results "
+            "either way (see docs/performance.md)"
+        ),
+    )
+    parser.add_argument(
+        "--batch-size", type=int, default=None, metavar="N",
+        help="candidates per dispatched batch in parallel modes",
+    )
+    if job:
+        return
+    parser.add_argument(
+        "--parallel", choices=PARALLEL_MODES, default="serial",
+        help=(
+            "candidate-evaluation backend: the classic serial loop "
+            "(default) or a batched thread/process pool with identical "
+            "results"
+        ),
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="worker-pool size in parallel modes (default: CPU count)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,54 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="specification JSON file (omit with --resume)",
     )
-    explore_cmd.add_argument(
-        "--util-bound", type=float, default=0.69,
-        help="utilisation acceptance bound (default 0.69)",
-    )
-    explore_cmd.add_argument(
-        "--max-cost", type=float, default=None,
-        help="stop at this allocation cost",
-    )
-    explore_cmd.add_argument(
-        "--keep-ties", action="store_true",
-        help="report equally-optimal allocations of the same cost",
-    )
+    _add_option_flags(explore_cmd)
     explore_cmd.add_argument(
         "--no-timing", action="store_true",
         help="skip the utilisation test",
-    )
-    explore_cmd.add_argument(
-        "--timing-mode", choices=("utilization", "schedule", "none"),
-        default=None,
-        help=(
-            "performance test: the paper's 69%% estimate (default), "
-            "exact one-period scheduling, or none"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--parallel", choices=("serial", "thread", "process"),
-        default="serial",
-        help=(
-            "candidate-evaluation backend: the classic serial loop "
-            "(default) or a batched thread/process pool with identical "
-            "results"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--engine", choices=("compiled", "reference"), default=None,
-        help=(
-            "candidate-evaluation engine: the compiled bitmask kernel "
-            "(default) or the reference pipeline; identical results "
-            "either way (see docs/performance.md)"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help="candidates per dispatched batch in parallel modes",
-    )
-    explore_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker-pool size in parallel modes (default: CPU count)",
     )
     explore_cmd.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -376,23 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=20, metavar="N",
         help="cost bands shown with --tree (default 20)",
     )
-    trace_cmd.add_argument("--util-bound", type=float, default=0.69)
-    trace_cmd.add_argument("--max-cost", type=float, default=None)
-    trace_cmd.add_argument("--keep-ties", action="store_true")
-    trace_cmd.add_argument(
-        "--timing-mode", choices=("utilization", "schedule", "none"),
-        default=None,
-    )
-    trace_cmd.add_argument(
-        "--parallel", choices=("serial", "thread", "process"),
-        default="serial",
-    )
-    trace_cmd.add_argument("--batch-size", type=int, default=None)
-    trace_cmd.add_argument("--workers", type=int, default=None)
-    trace_cmd.add_argument(
-        "--engine", choices=("compiled", "reference"), default=None,
-        help="candidate-evaluation engine (identical results)",
-    )
+    _add_option_flags(trace_cmd)
 
     upgrade = commands.add_parser(
         "upgrade", help="incremental design: upgrades of a base allocation"
@@ -617,18 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--priority", type=float, default=1.0,
         help="fair-share weight (higher = more pool time)",
     )
-    submit.add_argument("--util-bound", type=float, default=None)
-    submit.add_argument("--max-cost", type=float, default=None)
-    submit.add_argument("--keep-ties", action="store_true")
-    submit.add_argument(
-        "--timing-mode", choices=("utilization", "schedule", "none"),
-        default=None,
-    )
-    submit.add_argument("--batch-size", type=int, default=None)
-    submit.add_argument(
-        "--engine", choices=("compiled", "reference"), default=None,
-        help="candidate-evaluation engine (identical results)",
-    )
+    _add_option_flags(submit, job=True)
 
     jobs_cmd = commands.add_parser(
         "jobs", help="list an exploration service directory's jobs"
@@ -761,6 +754,62 @@ def _export_tracer(tracer, jsonl, chrome, out) -> None:
         _print(f"wrote {chrome}", out)
 
 
+def _result_flags(args) -> Dict[str, Any]:
+    """The :class:`ExploreOptions` fields a subcommand's flags set."""
+    flags = {
+        name: getattr(args, name)
+        for name in ExploreOptions._fields
+        if hasattr(args, name)
+    }
+    if hasattr(args, "no_timing"):
+        flags.update(check_utilization=not args.no_timing)
+    return flags
+
+
+def _given(**settings: Any) -> Dict[str, Any]:
+    """The settings a command line actually set (``None`` = unset)."""
+    return {k: v for k, v in settings.items() if v is not None}
+
+
+def _print_truncation(result, out) -> None:
+    """The TRUNCATED notice of a budget-truncated result (if any)."""
+    gap = result.gap
+    if result.completed or gap is None:
+        return
+    _print(
+        f"TRUNCATED ({gap.reason}): best-so-far front; any missed "
+        f"implementation costs >= ${gap.next_cost_bound:g} and no "
+        f"implementation exceeds flexibility "
+        f"{gap.flexibility_bound:g} (achieved "
+        f"{gap.achieved_flexibility:g})",
+        out,
+    )
+
+
+def _report_result(args, result, title, tracer, out) -> int:
+    """Print and export an explore result; returns the exit code."""
+    _print(pareto_table(result), out)
+    _print_truncation(result, out)
+    if args.plot:
+        _print(tradeoff_plot(result.front()), out)
+    if args.stats:
+        _print(stats_table(result), out)
+    if args.json:
+        dump_result(result, args.json)
+        _print(f"wrote {args.json}", out)
+    if args.csv:
+        with open(args.csv, "w", encoding="utf-8") as handle:
+            handle.write(result_to_csv(result))
+        _print(f"wrote {args.csv}", out)
+    if args.svg:
+        from .report import save_front_svg
+
+        save_front_svg(result.front(), args.svg, title=f"{title}: front")
+        _print(f"wrote {args.svg}", out)
+    _export_tracer(tracer, args.trace, args.chrome_trace, out)
+    return EXIT_OK if result.completed else EXIT_TRUNCATED
+
+
 def _cmd_explore(args, out) -> int:
     if args.shards is not None and (
         args.checkpoint is not None or args.resume is not None
@@ -790,23 +839,16 @@ def _cmd_explore(args, out) -> int:
             return EXIT_ERROR
         from .resilience import resume_explore
 
-        overrides = {}
-        if args.deadline is not None:
-            overrides["deadline_seconds"] = args.deadline
-        if args.max_evaluations is not None:
-            overrides["max_evaluations"] = args.max_evaluations
-        if args.parallel != "serial":
-            overrides["parallel"] = args.parallel
-        if args.batch_size is not None:
-            overrides["batch_size"] = args.batch_size
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if args.checkpoint_every is not None:
-            overrides["checkpoint_every"] = args.checkpoint_every
-        if args.engine is not None:
-            overrides["engine"] = args.engine
-        if args.warm_store is not None:
-            overrides["warm_store"] = args.warm_store
+        overrides = _given(
+            deadline_seconds=args.deadline,
+            max_evaluations=args.max_evaluations,
+            parallel=None if args.parallel == "serial" else args.parallel,
+            batch_size=args.batch_size,
+            workers=args.workers,
+            checkpoint_every=args.checkpoint_every,
+            engine=args.engine,
+            warm_store=args.warm_store,
+        )
         tracer = _build_tracer(args)
         result = resume_explore(args.resume, tracer=tracer, **overrides)
         spec_name = "resumed run"
@@ -823,11 +865,7 @@ def _cmd_explore(args, out) -> int:
         tracer = _build_tracer(args, spec)
         result = explore(
             spec,
-            util_bound=args.util_bound,
-            max_cost=args.max_cost,
-            check_utilization=not args.no_timing,
-            keep_ties=args.keep_ties,
-            timing_mode=args.timing_mode,
+            **_result_flags(args),
             parallel=args.parallel,
             batch_size=args.batch_size,
             workers=args.workers,
@@ -839,37 +877,7 @@ def _cmd_explore(args, out) -> int:
             engine=args.engine,
             warm_store=args.warm_store,
         )
-    _print(pareto_table(result), out)
-    if not result.completed and result.gap is not None:
-        gap = result.gap
-        _print(
-            f"TRUNCATED ({gap.reason}): best-so-far front; any missed "
-            f"implementation costs >= ${gap.next_cost_bound:g} and no "
-            f"implementation exceeds flexibility "
-            f"{gap.flexibility_bound:g} (achieved "
-            f"{gap.achieved_flexibility:g})",
-            out,
-        )
-    if args.plot:
-        _print(tradeoff_plot(result.front()), out)
-    if args.stats:
-        _print(stats_table(result), out)
-    if args.json:
-        dump_result(result, args.json)
-        _print(f"wrote {args.json}", out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(result_to_csv(result))
-        _print(f"wrote {args.csv}", out)
-    if args.svg:
-        from .report import save_front_svg
-
-        save_front_svg(
-            result.front(), args.svg, title=f"{spec_name}: front"
-        )
-        _print(f"wrote {args.svg}", out)
-    _export_tracer(tracer, args.trace, args.chrome_trace, out)
-    return EXIT_OK if result.completed else EXIT_TRUNCATED
+    return _report_result(args, result, spec_name, tracer, out)
 
 
 def _cmd_explore_sharded(args, out) -> int:
@@ -906,11 +914,7 @@ def _cmd_explore_sharded(args, out) -> int:
         checkpoint_every=args.checkpoint_every,
         **supervision_kwargs,
         tracer=tracer,
-        util_bound=args.util_bound,
-        max_cost=args.max_cost,
-        check_utilization=not args.no_timing,
-        keep_ties=args.keep_ties,
-        timing_mode=args.timing_mode,
+        **_result_flags(args),
         parallel=args.parallel,
         batch_size=args.batch_size,
         deadline_seconds=args.deadline,
@@ -931,37 +935,7 @@ def _cmd_explore_sharded(args, out) -> int:
             f"the sound prefix below (see the gap)",
             out,
         )
-    _print(pareto_table(result), out)
-    if not result.completed and result.gap is not None:
-        gap = result.gap
-        _print(
-            f"TRUNCATED ({gap.reason}): best-so-far front; any missed "
-            f"implementation costs >= ${gap.next_cost_bound:g} and no "
-            f"implementation exceeds flexibility "
-            f"{gap.flexibility_bound:g} (achieved "
-            f"{gap.achieved_flexibility:g})",
-            out,
-        )
-    if args.plot:
-        _print(tradeoff_plot(result.front()), out)
-    if args.stats:
-        _print(stats_table(result), out)
-    if args.json:
-        dump_result(result, args.json)
-        _print(f"wrote {args.json}", out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(result_to_csv(result))
-        _print(f"wrote {args.csv}", out)
-    if args.svg:
-        from .report import save_front_svg
-
-        save_front_svg(
-            result.front(), args.svg, title=f"{spec.name}: front"
-        )
-        _print(f"wrote {args.svg}", out)
-    _export_tracer(tracer, args.trace, args.chrome_trace, out)
-    return EXIT_OK if result.completed else EXIT_TRUNCATED
+    return _report_result(args, result, spec.name, tracer, out)
 
 
 def _cmd_shard_worker(args, out) -> int:
@@ -1002,13 +976,7 @@ def _cmd_explain(args, out) -> int:
     result = load_result(args.file)
     _print(pareto_table(result), out)
     _print(stats_table(result), out)
-    if not result.completed and result.gap is not None:
-        gap = result.gap
-        _print(
-            f"TRUNCATED ({gap.reason}): any missed implementation costs "
-            f">= ${gap.next_cost_bound:g}",
-            out,
-        )
+    _print_truncation(result, out)
     return EXIT_OK
 
 
@@ -1019,10 +987,7 @@ def _cmd_trace(args, out) -> int:
     tracer = _build_tracer(args, spec)
     result = explore(
         spec,
-        util_bound=args.util_bound,
-        max_cost=args.max_cost,
-        keep_ties=args.keep_ties,
-        timing_mode=args.timing_mode,
+        **_result_flags(args),
         parallel=args.parallel,
         batch_size=args.batch_size,
         workers=args.workers,
@@ -1258,19 +1223,9 @@ def _cmd_submit(args, out) -> int:
     from .io import job_io
 
     spec = load_spec(args.spec)
-    options = {}
-    if args.util_bound is not None:
-        options["util_bound"] = args.util_bound
-    if args.max_cost is not None:
-        options["max_cost"] = args.max_cost
-    if args.keep_ties:
-        options["keep_ties"] = True
-    if args.timing_mode is not None:
-        options["timing_mode"] = args.timing_mode
-    if args.batch_size is not None:
-        options["batch_size"] = args.batch_size
-    if args.engine is not None:
-        options["engine"] = args.engine
+    options = _given(
+        **_result_flags(args), batch_size=args.batch_size, engine=args.engine
+    )
     path = job_io.write_submission(
         args.dir,
         spec,

@@ -33,6 +33,7 @@ from .evaluation import (
 )
 from .exhaustive import exhaustive_front, iter_all_implementations
 from .explorer import PARALLEL_MODES, explore, validate_explore_options
+from .options import ExploreOptions
 from .flexibility import flexibility, max_flexibility
 from .incremental import (
     UpgradeResult,
@@ -70,6 +71,7 @@ __all__ = [
     "EcsRecord",
     "ExplorationResult",
     "ExplorationStats",
+    "ExploreOptions",
     "FailureImpact",
     "Implementation",
     "Nsga2Result",

@@ -30,23 +30,16 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional
+from typing import Any, Optional
 
 from ..errors import ExplorationError
 from ..spec import SpecificationGraph
-from ..timing import PAPER_UTILIZATION_BOUND
-from .estimate import estimate_flexibility
-from .evaluation import (
-    BINDING_BACKENDS,
-    ENGINES,
-    TIMING_MODES,
-    cache_counter_snapshot,
-    charge_cache_counters,
-    make_evaluator,
-)
+from .evaluation import ENGINES, charge_cache_counters
 from .explore_core import EvaluatorAnswers, ExploreCore
+# prepare_exploration is re-exported: drivers and tests import it here.
+from .options import ExplorationSetup, ExploreOptions, prepare_exploration
 from .progress import ProgressEmitter
-from .result import ExplorationResult, ExplorationStats
+from .result import ExplorationResult
 
 logger = logging.getLogger(__name__)
 
@@ -72,22 +65,6 @@ def warm_store_path(warm_store) -> Optional[str]:
     return root
 
 
-class ExplorationSetup(NamedTuple):
-    """Validated, precomputed inputs shared by the exploration drivers
-    (the possible-allocation equation is the engine evaluator's)."""
-
-    #: Units every candidate must contain (resolved names).
-    required: FrozenSet[str]
-    #: Units no candidate may contain (resolved names).
-    forbidden: FrozenSet[str]
-    #: The freely allocatable units, i.e. neither required nor forbidden.
-    extra_names: List[str]
-    #: Total cost of the required units.
-    required_cost: float
-    #: Global flexibility upper bound (the stop condition).
-    f_max: float
-
-
 def validate_explore_options(
     backend: str,
     timing_mode: Optional[str],
@@ -102,20 +79,11 @@ def validate_explore_options(
 ) -> None:
     """Reject unknown modes/backends with a clear :class:`ExplorationError`.
 
-    Historically an unknown ``backend`` silently fell through to the CSP
-    solver and an unknown ``timing_mode`` surfaced as a ``ValueError``
-    from deep inside the evaluation; exploration now fails fast instead.
+    The ``backend``/``timing_mode`` checks are the record's
+    (:meth:`ExploreOptions.validate`); the rest cover the execution
+    settings.  Exploration fails fast, before any work.
     """
-    if backend not in BINDING_BACKENDS:
-        raise ExplorationError(
-            f"unknown binding backend {backend!r}; "
-            f"expected one of {BINDING_BACKENDS}"
-        )
-    if timing_mode is not None and timing_mode not in TIMING_MODES:
-        raise ExplorationError(
-            f"unknown timing_mode {timing_mode!r}; "
-            f"expected one of {TIMING_MODES}"
-        )
+    ExploreOptions(backend=backend, timing_mode=timing_mode).validate()
     if parallel not in PARALLEL_MODES:
         raise ExplorationError(
             f"unknown parallel mode {parallel!r}; "
@@ -146,55 +114,6 @@ def validate_explore_options(
         raise ExplorationError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
-
-
-def prepare_exploration(
-    spec: SpecificationGraph,
-    require_units: Optional[Iterable[str]],
-    forbid_units: Optional[Iterable[str]],
-    max_cost: Optional[float],
-    weighted: bool,
-    evaluator=None,
-) -> ExplorationSetup:
-    """Validate the specification/constraints and precompute run inputs.
-
-    ``evaluator`` — when given, the engine evaluator computes ``f_max``
-    (both engines agree on every estimate, differentially tested).
-    """
-    if not spec.frozen:
-        raise ExplorationError("specification must be frozen before explore()")
-    required = frozenset(
-        spec.units.unit(u).name for u in (require_units or ())
-    )
-    forbidden = frozenset(
-        spec.units.unit(u).name for u in (forbid_units or ())
-    )
-    if required & forbidden:
-        raise ExplorationError(
-            f"units {sorted(required & forbidden)!r} are both required "
-            f"and forbidden"
-        )
-    extra_names = [
-        n
-        for n in spec.units.names()
-        if n not in required and n not in forbidden
-    ]
-    if max_cost is None and any(
-        spec.units.unit(n).cost <= 0 for n in extra_names
-    ):
-        raise ExplorationError(
-            "specification has zero-cost units; pass max_cost to bound "
-            "the enumeration"
-        )
-    required_cost = spec.units.total_cost(required)
-    all_usable = set(spec.units.names()) - forbidden
-    if evaluator is not None:
-        f_max = evaluator.estimate(frozenset(all_usable))
-    else:
-        f_max = estimate_flexibility(spec, all_usable, weighted)
-    return ExplorationSetup(
-        required, forbidden, extra_names, required_cost, f_max
-    )
 
 
 def _charged_enumeration(stream, charge):
@@ -255,19 +174,7 @@ def _evaluate(evaluator, units, core: ExploreCore):
 
 def explore(
     spec: SpecificationGraph,
-    util_bound: float = PAPER_UTILIZATION_BOUND,
-    max_cost: Optional[float] = None,
-    max_candidates: Optional[int] = None,
-    use_possible_filter: bool = True,
-    use_estimation: bool = True,
-    prune_comm: bool = True,
-    check_utilization: bool = True,
-    weighted: bool = False,
-    backend: str = "csp",
-    keep_ties: bool = False,
-    timing_mode: Optional[str] = None,
-    require_units: Optional[Iterable[str]] = None,
-    forbid_units: Optional[Iterable[str]] = None,
+    options: Optional[ExploreOptions] = None,
     parallel: str = "serial",
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
@@ -284,6 +191,7 @@ def explore(
     shard=None,
     warm_store=None,
     telemetry=None,
+    **fields: Any,
 ) -> ExplorationResult:
     """Find all Pareto-optimal (cost, flexibility) implementations.
 
@@ -291,38 +199,14 @@ def explore(
     ----------
     spec:
         A frozen specification graph.
-    util_bound:
-        Utilisation acceptance bound (the paper's 69%).
-    max_cost / max_candidates:
-        Optional exploration budgets; exceeding either ends the run.
-        ``max_cost`` is mandatory when the specification has zero-cost
-        units (cost order alone would then not bound the enumeration).
-    use_possible_filter / use_estimation / prune_comm:
-        Toggles for the three pruning techniques (used by the ablation
-        bench); all default to the paper's configuration.
-    check_utilization:
-        Disable to explore without the performance test.
-    weighted:
-        Use the footnote-2 weighted flexibility.
-    backend:
-        Binding-solver backend, ``"csp"`` (default) or ``"sat"``.
-        Unknown backends raise :class:`ExplorationError`.
-    timing_mode:
-        Performance test: ``"utilization"`` (the paper's 69% estimate,
-        default), ``"schedule"`` (exact one-period list scheduling — the
-        paper's future work) or ``"none"``.  Overrides
-        ``check_utilization`` when given; unknown modes raise
+    options / fields:
+        The result-affecting options: an
+        :class:`~repro.core.options.ExploreOptions` record and/or its
+        fields as keywords (``util_bound``, ``max_cost``,
+        ``keep_ties=True``, ...; keywords override the record).  The
+        defaults are the paper's configuration; the record documents
+        every field.  An unknown ``backend`` or ``timing_mode`` raises
         :class:`ExplorationError`.
-    require_units / forbid_units:
-        What-if constraints: only allocations containing every required
-        unit and none of the forbidden ones are considered ("the
-        platform must keep the ASIC", "the FPGA vendor is out").
-    keep_ties:
-        The published EXPLORE keeps only the first implementation per
-        (cost, flexibility) point (strict ``f > f_cur``).  With
-        ``keep_ties=True`` every equally-optimal allocation of the same
-        cost and flexibility is reported as well — e.g. all $230/f=4
-        variants of the case study.
     parallel:
         ``"serial"`` (default) runs the classic in-process loop;
         ``"thread"`` / ``"process"`` evaluate candidates in cost-ordered
@@ -420,9 +304,10 @@ def explore(
     resolved in favour of the first candidate in the deterministic
     enumeration order.
     """
+    options = (options or ExploreOptions()).override(**fields)
     validate_explore_options(
-        backend,
-        timing_mode,
+        options.backend,
+        options.timing_mode,
         parallel,
         batch_size,
         deadline_seconds=deadline_seconds,
@@ -449,19 +334,7 @@ def explore(
 
         return explore_batched(
             spec,
-            util_bound=util_bound,
-            max_cost=max_cost,
-            max_candidates=max_candidates,
-            use_possible_filter=use_possible_filter,
-            use_estimation=use_estimation,
-            prune_comm=prune_comm,
-            check_utilization=check_utilization,
-            weighted=weighted,
-            backend=backend,
-            keep_ties=keep_ties,
-            timing_mode=timing_mode,
-            require_units=require_units,
-            forbid_units=forbid_units,
+            options,
             parallel=parallel,
             batch_size=batch_size,
             workers=workers,
@@ -480,42 +353,10 @@ def explore(
             telemetry=telemetry,
         )
 
-    if not spec.frozen:
-        raise ExplorationError("specification must be frozen before explore()")
-    evaluator = make_evaluator(
+    evaluator, setup, stats, core, cache_base = options.prepare(
         spec,
         engine,
-        util_bound=util_bound,
-        check_utilization=check_utilization,
-        weighted=weighted,
-        backend=backend,
-        timing_mode=timing_mode,
-        warm_store=warm_path,
-    )
-    cache_base = cache_counter_snapshot(evaluator)
-    setup = prepare_exploration(
-        spec,
-        require_units,
-        forbid_units,
-        max_cost,
-        weighted,
-        evaluator=evaluator,
-    )
-    required = setup.required
-    started = time.perf_counter()
-    stats = ExplorationStats()
-    stats.design_space_size = 1 << len(setup.extra_names)
-    f_max = setup.f_max
-    core = ExploreCore(
-        stats,
-        f_max,
-        max_cost=max_cost,
-        max_candidates=max_candidates,
-        use_possible_filter=use_possible_filter,
-        use_estimation=use_estimation,
-        prune_comm=prune_comm,
-        keep_ties=keep_ties,
-        infeasibility_reason=evaluator.infeasibility_reason,
+        warm_path,
         emitter=emitter,
         tracer=tracer,
         # Telemetry rides the tracer's phase seam (duck-typed: Telemetry
@@ -523,6 +364,9 @@ def explore(
         # so the core never depends on repro.telemetry.
         profiler=getattr(telemetry, "profiler", None),
     )
+    required = setup.required
+    started = time.perf_counter()
+    f_max = setup.f_max
     core.start(stats.design_space_size)
     logger.info(
         "explore start: spec=%s design_space=%d f_max=%g serial",
@@ -546,17 +390,17 @@ def explore(
             bool(required),
             required,
             setup.required_cost,
-            use_possible_filter=use_possible_filter,
-            prune_comm=prune_comm,
-            use_estimation=use_estimation,
+            use_possible_filter=options.use_possible_filter,
+            prune_comm=options.prune_comm,
+            use_estimation=options.use_estimation,
             charge=core.charge,
         )
     if (
         block is not None
         and tracer is None
         and not emitter.active
-        and not keep_ties
-        and max_candidates is None
+        and not options.keep_ties
+        and options.max_candidates is None
     ):
         block.run_fast(core)
         stream = ()

@@ -48,6 +48,7 @@ import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.options import ExploreOptions
 from ..core.result import ExplorationResult
 from ..errors import (
     CheckpointError,
@@ -197,13 +198,16 @@ def _prepare_partition(
     shards: int,
     strategy: str,
     resume: bool,
-    options: Dict[str, Any],
+    options: ExploreOptions,
+    passed: Dict[str, Any],
 ) -> Tuple[List[Shard], str]:
     """Build (or reload) the partition and pin it in the manifest.
 
-    A resumed coordinator must replay the *same* partition — shard
-    journals are meaningless against any other — so the manifest is
-    the source of truth once written.
+    A resumed coordinator must replay the *same* partition under the
+    *same* result options — shard journals are meaningless against any
+    other — so the manifest is the source of truth once written.
+    ``passed`` is the manifest's ``options`` document: the options as
+    the caller passed them.
     """
     from ..io.json_io import spec_to_dict
 
@@ -224,13 +228,23 @@ def _prepare_partition(
                 f"but this run asked for {shards}x{strategy!r}; "
                 f"use a fresh workdir to change the partition"
             )
+        # Manifests store only the options the caller passed; the
+        # record fills the rest with their defaults.
+        pinned = ExploreOptions.from_dict(document.get("options") or {})
+        changed = pinned.changed(options)
+        if changed:
+            raise CheckpointError(
+                f"shard manifest {manifest_path!r} pins different "
+                f"result-affecting option(s) {changed!r}; use a fresh "
+                f"workdir (or resume=False) to change them"
+            )
         return loaded, manifest_path
     partition = make_partition(
         spec,
         shards,
         strategy,
-        require_units=options.get("require_units"),
-        forbid_units=options.get("forbid_units"),
+        require_units=options.require_units,
+        forbid_units=options.forbid_units,
     )
     if not resume:
         # A fresh (non-resuming) run must not merge stale journals.
@@ -239,7 +253,7 @@ def _prepare_partition(
             if os.path.exists(stale):
                 os.unlink(stale)
     shard_io.dump_manifest(
-        manifest_path, shard_io.manifest_to_dict(spec, partition, options)
+        manifest_path, shard_io.manifest_to_dict(spec, partition, passed)
     )
     return partition, manifest_path
 
@@ -249,7 +263,8 @@ def _run_inline(
     outcomes: Sequence[ShardOutcome],
     resume: bool,
     checkpoint_every: Optional[int],
-    options: Dict[str, Any],
+    options: ExploreOptions,
+    execution: Dict[str, Any],
 ) -> None:
     from ..parallel.batched import explore_batched
     from ..resilience.checkpoint import load_checkpoint, resume_explore
@@ -264,8 +279,8 @@ def _run_inline(
                 # (None lifts a budget journaled by the previous run).
                 result = resume_explore(
                     outcome.journal_path,
-                    max_evaluations=options.get("max_evaluations"),
-                    deadline_seconds=options.get("deadline_seconds"),
+                    max_evaluations=execution.get("max_evaluations"),
+                    deadline_seconds=execution.get("deadline_seconds"),
                 )
                 outcome.resumed = True
             except CheckpointError:
@@ -274,14 +289,13 @@ def _run_inline(
                     outcome.journal_path, outcome.shard.index,
                 )
         if result is None:
-            run_options = dict(options)
             explore_batched(
                 spec,
+                options,
                 shard=outcome.shard,
                 checkpoint=outcome.journal_path,
                 checkpoint_every=checkpoint_every,
-                parallel=run_options.pop("parallel", "serial"),
-                **run_options,
+                **{"parallel": "serial", **execution},
             )
         loaded = load_checkpoint(outcome.journal_path)
         outcome.cursor = loaded.cursor
@@ -295,27 +309,21 @@ def _run_service(
     workdir: str,
     outcomes: Sequence[ShardOutcome],
     checkpoint_every: Optional[int],
-    options: Dict[str, Any],
+    shipped: Dict[str, Any],
 ) -> None:
     """Dispatch shards as jobs of a workdir-local exploration service.
 
-    Each shard becomes one job; the stride scheduler interleaves them
-    in checkpointed slices (exercising shard preemption), and the
-    per-job journals are linked back to the coordinator's canonical
-    ``shard-NNN.checkpoint`` names for the merge.
+    Each shard becomes one job with the ``shipped`` options; the stride
+    scheduler interleaves them in checkpointed slices (exercising shard
+    preemption), and the per-job journals are linked back to the
+    coordinator's canonical ``shard-NNN.checkpoint`` names for the
+    merge.
     """
     from ..io import job_io
     from ..resilience.checkpoint import load_checkpoint
     from ..service import ExplorationService
 
     service_dir = os.path.join(workdir, "service")
-    # Unset (None) options are dropped — the service validates job
-    # options strictly, and a real value it cannot carry (e.g. a
-    # per-shard deadline) must still be rejected loudly.
-    job_options = {
-        key: value for key, value in options.items()
-        if key not in ("parallel", "workers") and value is not None
-    }
     kwargs: Dict[str, Any] = {"progress_every": None}
     if checkpoint_every is not None:
         kwargs["checkpoint_every"] = checkpoint_every
@@ -323,7 +331,7 @@ def _run_service(
     try:
         jobs = []
         for outcome in outcomes:
-            submitted = dict(job_options)
+            submitted = dict(shipped)
             submitted["shard"] = outcome.shard.to_dict()
             job = service.submit(
                 spec,
@@ -360,7 +368,7 @@ def _remote_request(
     spec_doc: Dict[str, Any],
     outcome: ShardOutcome,
     checkpoint_every: Optional[int],
-    options: Dict[str, Any],
+    shipped: Dict[str, Any],
     timeout: Optional[float],
     heartbeat_seconds: Optional[float] = None,
     heartbeat_timeout: float = HEARTBEAT_TIMEOUT_DEFAULT,
@@ -385,7 +393,7 @@ def _remote_request(
             "job": job,
             "spec": spec_doc,
             "shard": outcome.shard.to_dict(),
-            "options": options,
+            "options": shipped,
             "checkpoint_every": checkpoint_every,
         }
         if heartbeat_seconds:
@@ -477,7 +485,7 @@ def _run_remote(
     outcomes: Sequence[ShardOutcome],
     workers: Sequence[Union[str, Tuple[str, int]]],
     checkpoint_every: Optional[int],
-    options: Dict[str, Any],
+    shipped: Dict[str, Any],
     retry_attempts: int,
     retry_delay: float,
     timeout: Optional[float],
@@ -500,10 +508,6 @@ def _run_remote(
     # outlive any one exploration, and a bare ``shard-NNN`` id would
     # let a worker resume the journal of a *previous, different* run.
     digest = shard_io.spec_digest(spec_doc)
-    run_options = {
-        key: value for key, value in options.items()
-        if key not in ("parallel", "workers") and value is not None
-    }
     for outcome in outcomes:
         started = time.perf_counter()
         job = f"{digest}-shard-{outcome.shard.index:03d}"
@@ -521,7 +525,7 @@ def _run_remote(
             try:
                 reply = _remote_request(
                     address, job, spec_doc, outcome,
-                    checkpoint_every, run_options, timeout,
+                    checkpoint_every, shipped, timeout,
                     heartbeat_seconds=heartbeat_seconds,
                     heartbeat_timeout=heartbeat_timeout,
                     telemetry=telemetry,
@@ -659,10 +663,12 @@ def explore_sharded(
         wall-clock-side: the merged result is byte-identical with or
         without it.
     options:
-        Result-affecting explore options (``util_bound``, ``max_cost``,
-        ``backend``, ``engine``, ``keep_ties``, ...), applied uniformly
-        to every shard.  ``max_candidates`` is rejected (it counts
-        enumeration positions, which differ per shard).
+        :class:`~repro.core.options.ExploreOptions` fields
+        (``util_bound``, ``max_cost``, ``keep_ties``, ...) and explore
+        execution settings (``engine``, ``parallel``, ``batch_size``,
+        budgets), applied uniformly to every shard.  ``max_candidates``
+        is rejected (it counts enumeration positions, which differ per
+        shard).  A resumed workdir refuses different result options.
     """
     from .merge import merge_shard_checkpoints
 
@@ -682,22 +688,34 @@ def explore_sharded(
             "enumeration positions, which differ per shard"
         )
     options.pop("max_candidates", None)
+    record, execution = ExploreOptions.split(options)
+    # The manifest, service jobs and worker requests carry the options
+    # as passed (unit collections normalised), not every field.
+    passed = {**execution, **record.to_dict(options)}
+    # Jobs and workers validate their options strictly: the local pool
+    # geometry stays here, unset (None) options are dropped.
+    shipped = {
+        key: value for key, value in passed.items()
+        if key not in ("parallel", "workers") and value is not None
+    }
     started = time.perf_counter()
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-shards-")
     else:
         os.makedirs(workdir, exist_ok=True)
     partition, manifest_path = _prepare_partition(
-        spec, workdir, shards, strategy, resume, options
+        spec, workdir, shards, strategy, resume, record, passed
     )
     outcomes = [
         ShardOutcome(shard, shard_journal_path(workdir, shard))
         for shard in partition
     ]
     if mode == "inline":
-        _run_inline(spec, outcomes, resume, checkpoint_every, options)
+        _run_inline(
+            spec, outcomes, resume, checkpoint_every, record, execution
+        )
     elif mode == "service":
-        _run_service(spec, workdir, outcomes, checkpoint_every, options)
+        _run_service(spec, workdir, outcomes, checkpoint_every, shipped)
     else:
         if breakers is None:
             from ..supervision.breaker import BreakerRegistry
@@ -710,7 +728,7 @@ def explore_sharded(
                 else None
             )
         _run_remote(
-            spec, outcomes, workers or (), checkpoint_every, options,
+            spec, outcomes, workers or (), checkpoint_every, shipped,
             retry_attempts, retry_delay, timeout,
             heartbeat_seconds=heartbeat_seconds,
             heartbeat_timeout=heartbeat_timeout,
@@ -729,7 +747,7 @@ def explore_sharded(
         progress=progress,
         progress_every=progress_every,
         tracer=tracer,
-        engine=options.get("engine"),
+        engine=execution.get("engine"),
     )
     finished = time.perf_counter()
     return ShardedExploration(

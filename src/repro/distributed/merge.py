@@ -55,16 +55,14 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Optional,
     Sequence,
     Tuple,
 )
 
-from ..core.evaluation import make_evaluator
-from ..core.explore_core import ExploreCore
-from ..core.explorer import prepare_exploration, validate_explore_options
+from ..core.explorer import validate_explore_options
+from ..core.options import ExploreOptions
 from ..core.pareto import final_front
 from ..core.progress import ProgressEmitter
 from ..core.result import (
@@ -77,26 +75,7 @@ from ..parallel.cache import EvaluationCache
 from ..parallel.signature import canonical_signature
 from ..parallel.worker import CandidateOutcome
 from ..spec import SpecificationGraph
-from ..timing import PAPER_UTILIZATION_BOUND
 from .partition import Shard, owner_index, validate_partition
-
-#: The result-affecting ``explore`` parameters a merge must share with
-#: the shard runs it combines (the checkpoint-header subset that the
-#: resume machinery also freezes).
-RESULT_PARAMS = (
-    "util_bound",
-    "max_cost",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
-)
 
 #: Gap reason recorded when the merge stalls on an unfinished shard.
 SHARD_GAP_REASON = "shard_incomplete"
@@ -191,28 +170,21 @@ def _lookup(
 def merge_shard_runs(
     spec: SpecificationGraph,
     runs: Sequence[ShardRun],
-    util_bound: float = PAPER_UTILIZATION_BOUND,
-    max_cost: Optional[float] = None,
-    use_possible_filter: bool = True,
-    use_estimation: bool = True,
-    prune_comm: bool = True,
-    check_utilization: bool = True,
-    weighted: bool = False,
-    backend: str = "csp",
-    keep_ties: bool = False,
-    timing_mode: Optional[str] = None,
-    require_units: Optional[Iterable[str]] = None,
-    forbid_units: Optional[Iterable[str]] = None,
+    options: Optional[ExploreOptions] = None,
     engine: Optional[str] = None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
+    **fields: Any,
 ) -> ExplorationResult:
     """Replay-merge shard runs into the single-host exploration result.
 
-    The parameters must equal the ones the shard runs used (the
-    checkpoint-based entry point :func:`merge_shard_checkpoints`
-    extracts and cross-checks them automatically).  When every shard
+    The options — an :class:`~repro.core.options.ExploreOptions` record
+    and/or its fields as keywords, as for
+    :func:`~repro.parallel.batched.explore_batched` — must equal the
+    ones the shard runs used (the checkpoint-based entry point
+    :func:`merge_shard_checkpoints` extracts and cross-checks them
+    automatically).  When every shard
     completed, the returned result — front, statistics (except
     wall-clock), progress events, logical trace — is byte-identical to
     ``explore(spec, ...)`` on one host; otherwise the result is the
@@ -220,7 +192,15 @@ def merge_shard_runs(
     an unfinished shard, with ``completed=False`` and the combined
     :class:`~repro.core.result.OptimalityGap` (see module docstring).
     """
-    validate_explore_options(backend, timing_mode, engine=engine)
+    options = (options or ExploreOptions()).override(**fields)
+    validate_explore_options(
+        options.backend, options.timing_mode, engine=engine
+    )
+    if options.max_candidates is not None:
+        raise ExplorationError(
+            "max_candidates counts enumeration positions, which differ "
+            "per shard; a merge cannot apply it"
+        )
     ordered = validate_partition([run.shard for run in runs])
     by_index: List[ShardRun] = list(runs)
     by_index.sort(key=lambda run: run.shard.index)
@@ -228,39 +208,17 @@ def merge_shard_runs(
         raise ExplorationError("shard runs do not form the validated partition")
     for run in by_index:
         run._seen = 0
-    emitter = ProgressEmitter(progress, progress_every)
-    evaluator = make_evaluator(
+    evaluator, setup, stats, core, _ = options.prepare(
         spec,
         engine,
-        util_bound=util_bound,
-        check_utilization=check_utilization,
-        weighted=weighted,
-        backend=backend,
-        timing_mode=timing_mode,
-    )
-    setup = prepare_exploration(
-        spec, require_units, forbid_units, max_cost, weighted,
-        evaluator=evaluator,
+        emitter=ProgressEmitter(progress, progress_every),
+        tracer=tracer,
     )
     for run in by_index:
         run.shard.validate_for(setup.extra_names)
     required = setup.required
     started = time.perf_counter()
-    stats = ExplorationStats()
-    stats.design_space_size = 1 << len(setup.extra_names)
     f_max = setup.f_max
-    core = ExploreCore(
-        stats,
-        f_max,
-        max_cost=max_cost,
-        use_possible_filter=use_possible_filter,
-        use_estimation=use_estimation,
-        prune_comm=prune_comm,
-        keep_ties=keep_ties,
-        infeasibility_reason=evaluator.infeasibility_reason,
-        emitter=emitter,
-        tracer=tracer,
-    )
     core.start(stats.design_space_size)
 
     truncation: Optional[OptimalityGap] = None
@@ -352,30 +310,25 @@ def merge_shard_checkpoints(
     runs: List[ShardRun] = [ShardRun.lost(s) for s in lost_shards]
     spec: Optional[SpecificationGraph] = None
     spec_doc: Optional[str] = None
-    params: Optional[Dict[str, Any]] = None
+    options: Optional[ExploreOptions] = None
     for path in paths:
         run, loaded = ShardRun.from_checkpoint(path)
         runs.append(run)
         doc = _canonical_spec(spec_to_dict(loaded.spec))
-        relevant = {
-            name: loaded.params.get(name) for name in RESULT_PARAMS
-        }
+        journaled = ExploreOptions.from_dict(loaded.params)
         if spec is None:
-            spec, spec_doc, params = loaded.spec, doc, relevant
+            spec, spec_doc, options = loaded.spec, doc, journaled
         else:
             if doc != spec_doc:
                 raise CheckpointError(
                     f"shard checkpoint {path!r} explored a different "
                     f"specification than its siblings"
                 )
-            if relevant != params:
-                changed = sorted(
-                    name for name in RESULT_PARAMS
-                    if relevant[name] != params[name]
-                )
+            changed = options.changed(journaled)
+            if changed:
                 raise CheckpointError(
                     f"shard checkpoint {path!r} used different "
-                    f"result-affecting parameter(s) {changed!r}"
+                    f"result-affecting parameter(s) {sorted(changed)!r}"
                 )
     if spec is None:
         raise CheckpointError(
@@ -384,11 +337,11 @@ def merge_shard_checkpoints(
     return merge_shard_runs(
         spec,
         runs,
+        options,
         engine=engine,
         progress=progress,
         progress_every=progress_every,
         tracer=tracer,
-        **params,
     )
 
 

@@ -28,6 +28,7 @@ import socket
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..core.options import ExploreOptions
 from ..errors import CheckpointError, ProtocolError, ReproError
 from .protocol import (
     MessageStream,
@@ -42,21 +43,10 @@ logger = logging.getLogger(__name__)
 #: clock, so a finer cadence costs a dict lookup, not wire traffic.
 HEARTBEAT_PROGRESS_EVERY = 64
 
-#: Options a run request may carry (the result-affecting explore
-#: parameters plus per-run geometry; unknown keys are rejected loudly).
-WORKER_RUN_OPTIONS = (
-    "util_bound",
-    "max_cost",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
+#: Options a run request may carry: the
+#: :class:`~repro.core.options.ExploreOptions` fields plus per-run
+#: execution settings (unknown keys are rejected loudly).
+WORKER_RUN_OPTIONS = ExploreOptions._fields + (
     "batch_size",
     "engine",
     "parallel",
@@ -77,14 +67,17 @@ def checkpoint_path(directory: str, job: str) -> str:
     return os.path.join(directory, f"{job}.checkpoint")
 
 
-def _journal_mismatch(path: str, spec, shard) -> Optional[str]:
+def _journal_mismatch(
+    path: str, spec, shard, options: ExploreOptions
+) -> Optional[str]:
     """Why an existing journal does NOT belong to this run (or None).
 
     A worker directory outlives any one exploration, so a journal found
-    under the requested job id may be a leftover from a different spec
-    or partition.  Resuming it would be silently wrong; the caller
-    starts fresh instead.  An unreadable journal returns None — the
-    resume path's own validation handles (and logs) that case.
+    under the requested job id may be a leftover from a different spec,
+    partition or set of result options.  Resuming it would be silently
+    wrong; the caller starts fresh instead.  An unreadable journal
+    returns None — the resume path's own validation handles (and logs)
+    that case.
     """
     from ..io.json_io import spec_to_dict
     from ..io.shard_io import spec_digest
@@ -99,6 +92,9 @@ def _journal_mismatch(path: str, spec, shard) -> Optional[str]:
         return "journals a different specification"
     if loaded.params.get("shard") != shard.to_dict():
         return "journals a different shard"
+    changed = ExploreOptions.from_dict(loaded.params).changed(options)
+    if changed:
+        return f"journals different result options {changed!r}"
     return None
 
 
@@ -141,7 +137,10 @@ def run_request(
             f"unknown run option(s) {sorted(unknown)!r}; "
             f"a run may set {WORKER_RUN_OPTIONS}"
         )
-    options = dict(options)
+    try:
+        record, options = ExploreOptions.split(options)
+    except TypeError as error:  # e.g. a unit list that is a number
+        raise ProtocolError(f"malformed run options: {error}") from None
     trace_level = options.pop("trace", None)
     path = checkpoint_path(directory, str(job))
     spec = spec_from_dict(spec_doc)
@@ -172,7 +171,7 @@ def run_request(
     resumed = False
     result = None
     if os.path.exists(path):
-        stale = _journal_mismatch(path, spec, shard)
+        stale = _journal_mismatch(path, spec, shard, record)
         if stale is not None:
             # A journal under this job id from a *different*
             # exploration (worker directory reused across runs):
@@ -202,6 +201,7 @@ def run_request(
     if result is None:
         result = explore_batched(
             spec,
+            record,
             shard=shard,
             checkpoint=path,
             checkpoint_every=payload.get("checkpoint_every"),

@@ -34,12 +34,11 @@ from .batched import BATCH_SIZE_DEFAULT, explore_batched
 from .cache import EvaluationCache, outcome_checksum, outcome_token
 from .pool import POOL_KINDS, WorkerPool
 from .signature import canonical_signature
-from .worker import CandidateOutcome, EvalParams, evaluate_candidate
+from .worker import CandidateOutcome, evaluate_candidate
 
 __all__ = [
     "BATCH_SIZE_DEFAULT",
     "CandidateOutcome",
-    "EvalParams",
     "EvaluationCache",
     "PARALLEL_MODES",
     "POOL_KINDS",

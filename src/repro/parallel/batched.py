@@ -68,20 +68,16 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.candidates import iter_cost_batches
-from ..core.evaluation import (
-    cache_counter_snapshot,
-    charge_cache_counters,
-)
-from ..core.explore_core import ExploreCore
+from ..core.evaluation import charge_cache_counters
 from ..core.explorer import (
     _charged_enumeration,
-    prepare_exploration,
     validate_explore_options,
     warm_store_path,
 )
+from ..core.options import ExploreOptions
 from ..core.progress import ProgressEmitter
 from ..core.result import (
     ExplorationResult,
@@ -96,13 +92,11 @@ from ..errors import (
     WorkerError,
 )
 from ..spec import SpecificationGraph
-from ..timing import PAPER_UTILIZATION_BOUND
 from .cache import EvaluationCache
 from .signature import canonical_signature
 from . import worker as worker_module
 from .worker import (
     CandidateOutcome,
-    EvalParams,
     evaluate_candidate,
     init_worker,
     pool_evaluate,
@@ -167,11 +161,12 @@ class _BatchRunner:
         workers: Optional[int],
         spec: SpecificationGraph,
         evaluator,
-        params: EvalParams,
+        params: ExploreOptions,
         stats: ExplorationStats,
         retry=None,
         batch_timeout: Optional[float] = None,
         pool=None,
+        worker_args: Tuple = (),
     ) -> None:
         self.spec = spec
         self.evaluator = evaluator
@@ -201,7 +196,9 @@ class _BatchRunner:
                 self.executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=init_worker,
-                    initargs=(spec, params, _faults().active_plan()),
+                    initargs=(
+                        spec, params, *worker_args, _faults().active_plan()
+                    ),
                 )
                 self.kind = "process"
             except _POOL_FAILURES as error:
@@ -477,19 +474,7 @@ def _evaluate_batch(
 
 def explore_batched(
     spec: SpecificationGraph,
-    util_bound: float = PAPER_UTILIZATION_BOUND,
-    max_cost: Optional[float] = None,
-    max_candidates: Optional[int] = None,
-    use_possible_filter: bool = True,
-    use_estimation: bool = True,
-    prune_comm: bool = True,
-    check_utilization: bool = True,
-    weighted: bool = False,
-    backend: str = "csp",
-    keep_ties: bool = False,
-    timing_mode: Optional[str] = None,
-    require_units: Optional[Iterable[str]] = None,
-    forbid_units: Optional[Iterable[str]] = None,
+    options: Optional[ExploreOptions] = None,
     parallel: str = "thread",
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
@@ -509,40 +494,24 @@ def explore_batched(
     warm_store=None,
     telemetry=None,
     _resume=None,
+    **fields: Any,
 ) -> ExplorationResult:
     """EXPLORE with batched, pooled, fault-tolerant candidate evaluation.
 
-    Accepts the full :func:`repro.core.explorer.explore` parameter set
-    (documented there; the notes below add what is batched-specific)
-    plus the parallel knobs; results (Pareto set, statistics except
-    ``elapsed_seconds``, tie-breaking), progress events and logical
-    traces are identical to the serial loop by construction — see the
-    module docstring.
+    The result-affecting options are an
+    :class:`~repro.core.options.ExploreOptions` record — pass
+    ``options``, its fields as keywords (``keep_ties=True``, ...), or
+    both (keywords override the record's fields).  The execution
+    settings mean what they mean for :func:`repro.core.explorer.explore`
+    (documented there; the notes below add what is batched-specific).
+    Results (Pareto set, statistics except ``elapsed_seconds``,
+    tie-breaking), progress events and logical traces are identical to
+    the serial loop by construction — see the module docstring.
 
     ``cache`` — pass an :class:`EvaluationCache` to reuse memoised
     evaluation outcomes across runs on the *same* specification and
     parameters (e.g. what-if sweeps over ``require_units``); by default
     each run gets a fresh cache.
-
-    Resilience parameters (see ``docs/resilience.md``):
-
-    ``deadline_seconds`` / ``max_evaluations`` — anytime budgets; when
-    either trips, the run stops at a candidate boundary and returns the
-    best-so-far front with ``completed=False`` and an
-    :class:`~repro.core.result.OptimalityGap`.
-
-    ``checkpoint`` — path of an append-only CRC-checked journal; the
-    run snapshots its replay state every ``checkpoint_every`` consumed
-    candidates (default
-    :data:`repro.resilience.checkpoint.CHECKPOINT_EVERY_DEFAULT`) so
-    :func:`repro.resilience.resume_explore` can continue a killed run
-    to an identical result.
-
-    ``batch_timeout`` — seconds a dispatched batch may take before its
-    pool results are abandoned and completed inline.
-
-    ``retry`` — a :class:`repro.resilience.RetryPolicy` for transient
-    pool failures (default: 3 attempts, exponential backoff + jitter).
 
     ``pool`` — a shared :class:`repro.parallel.pool.WorkerPool`; when
     given it overrides the ``parallel``/``workers`` execution geometry
@@ -550,48 +519,32 @@ def explore_batched(
     Used by the exploration service to multiplex many jobs over one
     bounded pool; results are unchanged by construction.
 
-    ``tracer`` — an optional :class:`repro.trace.Tracer`; every record
-    is emitted at the candidate's replay position from
-    replay-deterministic data, so the logical trace is byte-identical
-    to the serial loop's (``tests/test_trace.py``).  On a service
-    preemption (budget truncation with ``record_truncation=False``)
-    nothing is recorded, so a job traced across many slices accumulates
-    the trace of one uninterrupted run.
+    ``tracer`` — on a service preemption (budget truncation with
+    ``record_truncation=False``) nothing is recorded, so a job traced
+    across many slices accumulates the trace of one uninterrupted run.
 
-    ``shard`` — a :class:`repro.distributed.Shard` (or its dictionary
-    form): the run consumes only the candidates the shard owns, in
-    their global enumeration order, and the result covers exactly that
-    slice of the space.  Shard runs exist to be *merged* — see
-    :mod:`repro.distributed` and ``docs/distributed.md`` — and journal
-    a per-shard checkpoint like any other run.  ``max_candidates``
-    cannot combine with ``shard`` (it counts enumeration positions,
-    which differ per shard).
+    ``shard`` — shard runs journal a per-shard checkpoint like any
+    other run; its cursor counts positions in the shard's own
+    sub-stream.
 
-    ``warm_store`` — directory of a persistent warm-start verdict
-    store (:mod:`repro.store`): the compiled kernel loads binding
-    verdicts before solving and writes behind on misses, across runs
-    and spec edits, with byte-identical results.  The path is recorded
-    in the checkpoint header (restorable and — like the execution
-    geometry — freely overridable on resume) and travels to process
-    pools through :class:`~repro.parallel.worker.EvalParams`.
+    ``warm_store`` — the path is recorded in the checkpoint header
+    (restorable and, like the execution geometry, freely overridable
+    on resume) and travels to process pools as a plain path.
 
-    ``telemetry`` — an optional :class:`repro.telemetry.Telemetry`
-    bundle (or bare :class:`repro.telemetry.PhaseProfiler`): batch
-    dispatch wall-clock is charged to the ``dispatch`` phase, and the
-    compiled evaluator charges ``binding``/``timing`` per solve through
-    its ``phase_sink`` (inline/thread pools — process workers run in
-    other address spaces).  Strictly wall-clock-side observation:
-    results, progress events and trace fingerprints are byte-identical
-    with telemetry on or off.  Like ``progress``/``tracer``, a
-    per-session seam — never journaled by checkpoints.
+    ``telemetry`` — batch dispatch wall-clock is charged to the
+    ``dispatch`` phase, and the compiled evaluator charges
+    ``binding``/``timing`` per solve through its ``phase_sink``
+    (inline/thread pools — process workers run in other address
+    spaces).
 
     ``_resume`` — internal: a
     :class:`repro.resilience.checkpoint.LoadedCheckpoint` to continue
     from (use :func:`repro.resilience.resume_explore`).
     """
+    options = (options or ExploreOptions()).override(**fields)
     validate_explore_options(
-        backend,
-        timing_mode,
+        options.backend,
+        options.timing_mode,
         parallel,
         batch_size,
         deadline_seconds=deadline_seconds,
@@ -610,7 +563,7 @@ def explore_batched(
                 f"shard must be a repro.distributed.Shard (or its "
                 f"dictionary form), got {type(shard).__name__}"
             )
-        if max_candidates is not None:
+        if options.max_candidates is not None:
             raise ExplorationError(
                 "max_candidates counts enumeration positions, which "
                 "differ per shard; it cannot be combined with shard"
@@ -620,57 +573,25 @@ def explore_batched(
     emitter = ProgressEmitter(progress, progress_every)
     # "serial" means: batched replay semantics, inline execution (no pool).
     parallel_kind = "inline" if parallel == "serial" else parallel
-    if not spec.frozen:
-        raise ExplorationError("specification must be frozen before explore()")
     warm_path = warm_store_path(warm_store)
-    params = EvalParams(
-        util_bound=util_bound,
-        check_utilization=check_utilization,
-        weighted=weighted,
-        backend=backend,
-        timing_mode=timing_mode,
-        use_possible_filter=use_possible_filter,
-        use_estimation=use_estimation,
-        prune_comm=prune_comm,
-        keep_ties=keep_ties,
-        engine=engine,
-        warm_store=warm_path,
-    )
-    evaluator = params.evaluator(spec)
-    cache_base = cache_counter_snapshot(evaluator)
-    setup = prepare_exploration(
-        spec,
-        require_units,
-        forbid_units,
-        max_cost,
-        weighted,
-        evaluator=evaluator,
-    )
-    required = setup.required
-    started = time.perf_counter()
-    stats = ExplorationStats()
-    f_max = setup.f_max
     # Telemetry rides the same duck-typed seam as in the serial loop
     # (``.profiler`` on Telemetry and PhaseProfiler); the compiled
     # evaluator additionally charges per-solve binding/timing through
     # its ``phase_sink`` when evaluation happens in this process.
     profiler = getattr(telemetry, "profiler", None)
-    if profiler is not None and hasattr(evaluator, "phase_sink"):
-        evaluator.phase_sink = profiler
-    core = ExploreCore(
-        stats,
-        f_max,
-        max_cost=max_cost,
-        max_candidates=max_candidates,
-        use_possible_filter=use_possible_filter,
-        use_estimation=use_estimation,
-        prune_comm=prune_comm,
-        keep_ties=keep_ties,
-        infeasibility_reason=evaluator.infeasibility_reason,
+    evaluator, setup, stats, core, cache_base = options.prepare(
+        spec,
+        engine,
+        warm_path,
         emitter=emitter,
         tracer=tracer,
         profiler=profiler,
     )
+    if profiler is not None and hasattr(evaluator, "phase_sink"):
+        evaluator.phase_sink = profiler
+    required = setup.required
+    started = time.perf_counter()
+    f_max = setup.f_max
     cursor = 0
     if _resume is not None:
         # Resume seeds the statistics and the core from the checkpoint.
@@ -681,7 +602,6 @@ def explore_batched(
         core.f_cur = _resume.f_cur
         core.points = list(_resume.points)
         cursor = _resume.cursor
-    stats.design_space_size = 1 << len(setup.extra_names)
     cache = cache if cache is not None else EvaluationCache()
     corruptions_at_start = cache.corruptions
     size = BATCH_SIZE_DEFAULT if batch_size is None else batch_size
@@ -697,20 +617,8 @@ def explore_batched(
         writer = CheckpointWriter(
             checkpoint,
             spec,
-            _header_params(
-                util_bound=util_bound,
-                max_cost=max_cost,
-                max_candidates=max_candidates,
-                use_possible_filter=use_possible_filter,
-                use_estimation=use_estimation,
-                prune_comm=prune_comm,
-                check_utilization=check_utilization,
-                weighted=weighted,
-                backend=backend,
-                keep_ties=keep_ties,
-                timing_mode=timing_mode,
-                require_units=require_units,
-                forbid_units=forbid_units,
+            dict(
+                options.to_dict(),
                 parallel=parallel,
                 batch_size=batch_size,
                 workers=workers,
@@ -718,7 +626,7 @@ def explore_batched(
                 deadline_seconds=deadline_seconds,
                 max_evaluations=max_evaluations,
                 batch_timeout=batch_timeout,
-                retry=retry,
+                retry=retry.as_dict() if retry is not None else None,
                 engine=engine,
                 shard=shard.to_dict() if shard is not None else None,
                 warm_store=warm_path,
@@ -733,11 +641,12 @@ def explore_batched(
         workers,
         spec,
         evaluator,
-        params,
+        options,
         stats,
         retry=retry,
         batch_timeout=batch_timeout,
         pool=pool,
+        worker_args=(engine, warm_path),
     )
     core.start(stats.design_space_size, cursor=cursor)
     logger.info(
@@ -890,14 +799,3 @@ def explore_batched(
         completed=truncation is None,
         gap=truncation,
     )
-
-
-def _header_params(**kwargs: Any) -> Dict[str, Any]:
-    """The JSON-ready checkpoint-header form of the run parameters."""
-    document = dict(kwargs)
-    for key in ("require_units", "forbid_units"):
-        value = document.get(key)
-        document[key] = sorted(value) if value is not None else None
-    retry = document.get("retry")
-    document["retry"] = retry.as_dict() if retry is not None else None
-    return document

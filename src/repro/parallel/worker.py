@@ -18,85 +18,21 @@ hence evaluating whenever ``estimate > f_entry`` (or ``>=`` under
 evaluates, and the deterministic replay in
 :mod:`repro.parallel.batched` always finds the evaluation it needs.
 
-For process pools the specification and parameters are shipped once
-per worker through the pool initializer (:func:`init_worker`), so work
-items stay small and picklable.
+For process pools the specification, the run's
+:class:`~repro.core.options.ExploreOptions` record and the engine
+settings are shipped once per worker through the pool initializer
+(:func:`init_worker`), so work items stay small and picklable.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Tuple
 
-from ..core.evaluation import make_evaluator
 from ..core.explore_core import EvaluatorAnswers
+from ..core.options import ExploreOptions
 from ..core.result import EcsRecord, Implementation
 from ..errors import ExplorationError
 from ..spec import SpecificationGraph
-
-
-class EvalParams:
-    """The incumbent-independent knobs of one EXPLORE run (picklable)."""
-
-    __slots__ = (
-        "util_bound",
-        "check_utilization",
-        "weighted",
-        "backend",
-        "timing_mode",
-        "use_possible_filter",
-        "use_estimation",
-        "prune_comm",
-        "keep_ties",
-        "engine",
-        "warm_store",
-    )
-
-    def __init__(
-        self,
-        util_bound: float,
-        check_utilization: bool,
-        weighted: bool,
-        backend: str,
-        timing_mode: Optional[str],
-        use_possible_filter: bool,
-        use_estimation: bool,
-        prune_comm: bool,
-        keep_ties: bool,
-        engine: Optional[str] = None,
-        warm_store: Optional[str] = None,
-    ) -> None:
-        self.util_bound = util_bound
-        self.check_utilization = check_utilization
-        self.weighted = weighted
-        self.backend = backend
-        self.timing_mode = timing_mode
-        self.use_possible_filter = use_possible_filter
-        self.use_estimation = use_estimation
-        self.prune_comm = prune_comm
-        self.keep_ties = keep_ties
-        self.engine = engine
-        #: Warm-start store directory (:mod:`repro.store`) — shipped as
-        #: a plain path so it pickles to process-pool workers, each of
-        #: which opens its own store handle on the shared directory.
-        self.warm_store = warm_store
-
-    def evaluator(self, spec: SpecificationGraph):
-        """Build the engine evaluator these parameters describe.
-
-        Called once per worker (pool initializer) or once per run
-        (inline execution) — never per candidate: the compiled engine's
-        cross-candidate caches live on the evaluator.
-        """
-        return make_evaluator(
-            spec,
-            self.engine,
-            util_bound=self.util_bound,
-            check_utilization=self.check_utilization,
-            weighted=self.weighted,
-            backend=self.backend,
-            timing_mode=self.timing_mode,
-            warm_store=self.warm_store,
-        )
 
 
 class CandidateOutcome:
@@ -181,7 +117,7 @@ _FAULT_HOOK = None
 
 def evaluate_candidate(
     evaluator,
-    params: EvalParams,
+    params: ExploreOptions,
     units: FrozenSet[str],
     f_entry: float,
     answers=None,
@@ -189,7 +125,7 @@ def evaluate_candidate(
     """Run the incumbent-independent pipeline for one candidate.
 
     ``evaluator`` is the engine evaluator of this run (built once by
-    :meth:`EvalParams.evaluator`); both engines expose the same
+    :meth:`ExploreOptions.evaluator`); both engines expose the same
     protocol and produce identical outcomes.  ``answers`` — precomputed
     pre-filter answers (default: computed by the evaluator on demand).
     """
@@ -234,23 +170,27 @@ def evaluate_candidate(
 # worker compiles its own from the shipped specification.
 
 _WORKER_EVALUATOR = None
-_WORKER_PARAMS: Optional[EvalParams] = None
+_WORKER_PARAMS: Optional[ExploreOptions] = None
 
 
 def init_worker(
     spec: SpecificationGraph,
-    params: EvalParams,
+    params: ExploreOptions,
+    engine: Optional[str] = None,
+    warm_store: Optional[str] = None,
     fault_plan=None,
 ) -> None:
     """Pool initializer: install per-worker evaluation state.
 
+    ``warm_store`` is a plain directory path, so it pickles: each
+    worker opens its own store handle on the shared directory.
     ``fault_plan`` — an optional
     :class:`repro.resilience.faults.FaultPlan` shipped from the parent
     so the fault-injection harness also reaches process-pool children.
     """
     global _WORKER_EVALUATOR, _WORKER_PARAMS
     _WORKER_PARAMS = params
-    _WORKER_EVALUATOR = params.evaluator(spec)
+    _WORKER_EVALUATOR = params.evaluator(spec, engine, warm_store)
     if fault_plan is not None:
         from ..resilience import faults
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional
 
+from ..core.options import ExploreOptions
 from ..core.result import ExplorationResult, ExplorationStats, Implementation
 from ..errors import CheckpointError
 from ..io.json_io import spec_from_dict, spec_to_dict
@@ -270,22 +271,11 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
     )
 
 
-#: ``explore_batched`` keyword arguments persisted in the header and
-#: restored verbatim on resume (overridable via ``resume_explore``).
-_RESUMABLE_PARAMS = (
-    "util_bound",
-    "max_cost",
-    "max_candidates",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
+#: The execution settings persisted in the header next to the
+#: :class:`~repro.core.options.ExploreOptions` fields.  Resume restores
+#: them and may override all but ``shard`` (the journaled cursor counts
+#: positions of *this* shard's stream); none of them affects results.
+_EXECUTION_PARAMS = (
     "parallel",
     "batch_size",
     "workers",
@@ -294,18 +284,8 @@ _RESUMABLE_PARAMS = (
     "max_evaluations",
     "batch_timeout",
     "retry",
-    # Engines produce identical results (differentially tested), so —
-    # like the parallel/workers execution geometry — "engine" is
-    # restorable *and* freely overridable on resume.
     "engine",
-    # The candidate slice a distributed shard run owns (see
-    # repro.distributed): restored verbatim, frozen against change —
-    # the journaled cursor counts positions of *this* shard's stream.
     "shard",
-    # Warm-start store directory (repro.store): recorded like the pool
-    # geometry and — since the store never affects results, only how
-    # fast verdicts are reached — freely overridable on resume (e.g.
-    # resuming on a host without the store directory).
     "warm_store",
 )
 
@@ -331,10 +311,12 @@ def resume_explore(
     geometry never affects results) and fresh anytime budgets
     (``deadline_seconds``/``max_evaluations`` — the deadline is
     measured from the resume, the evaluation budget is cumulative over
-    the whole run, and ``None`` lifts the original budget).  Overriding
-    result-affecting parameters (``backend``, ``weighted``, ...) is
-    rejected — the journaled outcomes were computed under the original
-    semantics.
+    the whole run, and ``None`` lifts the original budget).  Changing
+    a result-affecting parameter — any
+    :class:`~repro.core.options.ExploreOptions` field, or ``shard`` —
+    is rejected: the journaled outcomes were computed under the
+    original semantics.  Equal values pass (a unit set equal to the
+    journaled list, say).
 
     ``pool``/``progress``/``progress_every``/``tracer``/``telemetry``
     are per-session execution and observation seams (never journaled):
@@ -357,32 +339,32 @@ def resume_explore(
         len(loaded.cache),
         loaded.completed,
     )
-    unknown = set(overrides) - set(_RESUMABLE_PARAMS)
+    fields = {
+        name: overrides.pop(name)
+        for name in ExploreOptions._fields
+        if name in overrides
+    }
+    unknown = set(overrides) - set(_EXECUTION_PARAMS)
     if unknown:
         raise CheckpointError(
             f"unknown resume override(s) {sorted(unknown)!r}"
         )
-    frozen = {
-        "util_bound", "max_cost", "max_candidates", "use_possible_filter",
-        "use_estimation", "prune_comm", "check_utilization", "weighted",
-        "backend", "keep_ties", "timing_mode", "require_units",
-        "forbid_units", "shard",
-    }
+    options = ExploreOptions.from_dict(loaded.params)
+    bad = options.changed(options.override(**fields))
     if hasattr(overrides.get("shard"), "to_dict"):
         overrides["shard"] = overrides["shard"].to_dict()
-    bad = {
-        name
-        for name in overrides
-        if name in frozen and overrides[name] != loaded.params.get(name)
-    }
+    if "shard" in overrides and overrides["shard"] != loaded.params.get(
+        "shard"
+    ):
+        bad.append("shard")
     if bad:
         raise CheckpointError(
             f"cannot change result-affecting parameter(s) {sorted(bad)!r} "
             f"on resume; start a fresh run instead"
         )
     kwargs = {
-        name: loaded.params.get(name)
-        for name in _RESUMABLE_PARAMS
+        name: loaded.params[name]
+        for name in _EXECUTION_PARAMS
         if name in loaded.params
     }
     kwargs.update(overrides)
@@ -392,6 +374,7 @@ def resume_explore(
         kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
     return explore_batched(
         loaded.spec,
+        options,
         cache=loaded.cache,
         checkpoint=path,
         pool=pool,

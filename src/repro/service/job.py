@@ -4,30 +4,19 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..core.options import ExploreOptions
 from ..core.result import ExplorationResult
 from ..errors import ReproError
 from ..io.job_io import JOB_STATES, TERMINAL_STATES
 from ..spec import SpecificationGraph
 from ..trace import compute_trace_id
 
-#: ``explore()`` keyword arguments a submission may set.  Execution
-#: geometry (parallel/workers/pool), checkpointing and budgets are the
-#: service's own levers — a job describes *what* to explore, the
-#: service decides *how*.
-SUBMIT_OPTIONS = (
-    "util_bound",
-    "max_cost",
-    "max_candidates",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
+#: ``explore()`` keyword arguments a submission may set: the
+#: :class:`~repro.core.options.ExploreOptions` fields plus the settings
+#: below.  Execution geometry (parallel/workers/pool), checkpointing
+#: and budgets are the service's own levers — a job describes *what*
+#: to explore, the service decides *how*.
+SUBMIT_OPTIONS = ExploreOptions._fields + (
     "batch_size",
     "engine",
     # A shard descriptor dict (repro.distributed.Shard.to_dict): the
@@ -46,7 +35,12 @@ class ServiceError(ReproError):
 
 
 def validate_options(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-    """Check a submission's explore options against :data:`SUBMIT_OPTIONS`."""
+    """Check a submission's explore options against :data:`SUBMIT_OPTIONS`.
+
+    Option *values* are checked when the job runs (a bad ``backend``
+    fails the job, not the submission); unit collections are stored in
+    the record's JSON form so any iterable survives the ledger.
+    """
     options = dict(options or {})
     unknown = set(options) - set(SUBMIT_OPTIONS)
     if unknown:
@@ -54,6 +48,10 @@ def validate_options(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
             f"unknown explore option(s) {sorted(unknown)!r}; "
             f"a job may set {SUBMIT_OPTIONS}"
         )
+    try:
+        options.update(ExploreOptions.split(options)[0].to_dict(options))
+    except TypeError as error:  # e.g. a unit list that is a number
+        raise ServiceError(f"malformed explore options: {error}") from None
     trace = options.get("trace")
     if trace is not None and trace not in ("spans", "audit"):
         raise ServiceError(

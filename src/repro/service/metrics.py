@@ -23,12 +23,19 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 
 #: Prometheus metric-name grammar.
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+
+#: Suffixes a histogram expands into in the exposition format; a scalar
+#: metric whose name collides with an expansion corrupts the export.
+_HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
+
+#: Counter of collector callbacks that raised during an export.
+COLLECTOR_ERRORS_METRIC = "repro_telemetry_collector_errors_total"
 
 #: Default histogram buckets (seconds): spans sub-millisecond slices
 #: to multi-minute waits.
@@ -259,11 +266,23 @@ def _format_value(value: float) -> str:
 
 
 class MetricsRegistry:
-    """A named collection of instruments with snapshot exports."""
+    """A named collection of instruments with snapshot exports.
+
+    *Collectors* — callables registered with
+    :meth:`register_collector` — run in registration order immediately
+    before every snapshot export (``as_dict``/``to_prometheus``), so
+    surfaces whose truth lives elsewhere (process resources,
+    warm-store counters, fleet heartbeat state) are always current
+    without a background thread.  A collector that raises never breaks
+    an export; failures are counted on
+    :data:`COLLECTOR_ERRORS_METRIC`.
+    """
 
     def __init__(self) -> None:
         self._metrics: "Dict[str, Any]" = {}
         self._lock = threading.Lock()
+        self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        self._collector_lock = threading.Lock()
 
     def _register(self, metric):
         with self._lock:
@@ -303,8 +322,36 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics)
 
+    def register_collector(
+        self, collect: Callable[["MetricsRegistry"], None]
+    ) -> None:
+        """Add ``collect(registry)`` to run before every export.
+
+        Registration is idempotent by identity; collectors run in
+        registration order.
+        """
+        with self._collector_lock:
+            if all(existing is not collect for existing in self._collectors):
+                self._collectors.append(collect)
+
+    def collect(self) -> None:
+        """Run every registered collector once (export freshness)."""
+        with self._collector_lock:
+            collectors = list(self._collectors)
+        for collect in collectors:
+            try:
+                collect(self)
+            except Exception:
+                # Observability must never take the observed system
+                # down; surface the failure as a metric instead.
+                self.counter(
+                    COLLECTOR_ERRORS_METRIC,
+                    "Collector callbacks that raised during export.",
+                ).inc()
+
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot of every instrument (sorted by name)."""
+        self.collect()
         with self._lock:
             return {
                 name: self._metrics[name].as_dict()
@@ -313,6 +360,7 @@ class MetricsRegistry:
 
     def to_prometheus(self) -> str:
         """The Prometheus text exposition format (version 0.0.4)."""
+        self.collect()
         lines: List[str] = []
         with self._lock:
             for name in sorted(self._metrics):
@@ -325,3 +373,34 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {name} {metric.kind}")
                 lines.extend(metric.render())
         return "\n".join(lines) + "\n"
+
+    def validate(self, strict: bool = False) -> List[str]:
+        """Check the namespace for grammar and collisions.
+
+        Returns a list of problem descriptions (empty means the export
+        is sound); with ``strict=True`` raises :class:`MetricError`
+        instead of returning problems.
+        """
+        with self._lock:
+            metrics = dict(self._metrics)
+        problems: List[str] = []
+        for name in sorted(metrics):
+            if not _NAME_RE.match(name):
+                problems.append(f"invalid metric name {name!r}")
+        for name in sorted(metrics):
+            metric = metrics[name]
+            if metric.kind != "histogram":
+                continue
+            for suffix in _HISTOGRAM_SUFFIXES:
+                other = metrics.get(name + suffix)
+                if other is not None:
+                    problems.append(
+                        f"histogram {name!r} series {name + suffix!r} "
+                        f"collides with registered {other.kind}"
+                    )
+        if strict and problems:
+            raise MetricError(
+                "metric namespace validation failed: "
+                + "; ".join(problems)
+            )
+        return problems

@@ -59,7 +59,6 @@ from .clock import ManualClock, MonotonicClock, ServiceClock
 from .events import EventBus, Subscription
 from ..trace import Tracer, bridge_trace_metrics, write_trace
 from .job import Job, ServiceError, validate_options
-from .metrics import MetricsRegistry
 from .scheduler import StrideScheduler
 
 logger = logging.getLogger(__name__)
@@ -141,14 +140,13 @@ class ExplorationService:
         self.bus = EventBus()
         # The unified telemetry plane (imported lazily: repro.telemetry
         # builds on repro.service.metrics, so a module-level import
-        # here would be circular).  ``self.metrics`` keeps its historic
-        # name/API; it is now a collector-refreshing MetricRegistry
+        # here would be circular).  ``self.metrics`` is its registry,
         # carrying the service instruments, breaker gauges, trace
         # bridge, process resources, phase histograms and — when a
         # warm store is configured — the store's lifetime counters.
-        from ..telemetry import MetricRegistry, Telemetry
+        from ..telemetry import Telemetry
 
-        self.telemetry = Telemetry(registry=MetricRegistry())
+        self.telemetry = Telemetry()
         self.metrics = self.telemetry.registry
         self.scheduler = StrideScheduler(self.clock, aging_rate)
         self.jobs: Dict[str, Job] = {}

@@ -1,13 +1,10 @@
-"""The unified metric registry: collectors, validation, snapshots.
+"""The unified metric registry and its snapshot algebra.
 
-:class:`MetricRegistry` extends the service's
-:class:`~repro.service.metrics.MetricsRegistry` with *collectors* —
-callables invoked in registration order immediately before every
-snapshot export (``as_dict``/``to_prometheus``), so surfaces whose
-truth lives elsewhere (process resources, warm-store counters, fleet
-heartbeat state) are always current without a background thread.  A
-collector that raises never breaks an export; failures are counted on
-``repro_telemetry_collector_errors_total``.
+:class:`MetricRegistry` is :class:`repro.service.metrics.MetricsRegistry`
+— one class under both import paths: the service's instruments plus
+*collectors* refreshed before every export and a
+:meth:`~repro.service.metrics.MetricsRegistry.validate` grammar and
+collision check.
 
 The module also provides the snapshot algebra behind
 ``repro telemetry dump|diff``: :func:`registry_from_snapshot`
@@ -17,96 +14,16 @@ reconstructs a registry from an exported ``metrics.json`` document and
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..service.metrics import (
+    COLLECTOR_ERRORS_METRIC,
     MetricError,
     MetricsRegistry,
-    _NAME_RE,
 )
 
-#: Suffixes a histogram expands into in the exposition format; a scalar
-#: metric whose name collides with an expansion corrupts the export.
-_HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
-
-#: Counter of collector callbacks that raised during an export.
-COLLECTOR_ERRORS_METRIC = "repro_telemetry_collector_errors_total"
-
-
-class MetricRegistry(MetricsRegistry):
-    """One namespace for every metric surface, refreshed on export."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._collectors: List[Callable[["MetricRegistry"], None]] = []
-        self._collector_lock = threading.Lock()
-
-    def register_collector(
-        self, collect: Callable[["MetricRegistry"], None]
-    ) -> None:
-        """Add ``collect(registry)`` to run before every export.
-
-        Registration is idempotent by identity; collectors run in
-        registration order.
-        """
-        with self._collector_lock:
-            if all(existing is not collect for existing in self._collectors):
-                self._collectors.append(collect)
-
-    def collect(self) -> None:
-        """Run every registered collector once (export freshness)."""
-        with self._collector_lock:
-            collectors = list(self._collectors)
-        for collect in collectors:
-            try:
-                collect(self)
-            except Exception:
-                # Observability must never take the observed system
-                # down; surface the failure as a metric instead.
-                self.counter(
-                    COLLECTOR_ERRORS_METRIC,
-                    "Collector callbacks that raised during export.",
-                ).inc()
-
-    def as_dict(self) -> Dict[str, Any]:
-        self.collect()
-        return super().as_dict()
-
-    def to_prometheus(self) -> str:
-        self.collect()
-        return super().to_prometheus()
-
-    def validate(self, strict: bool = False) -> List[str]:
-        """Check the merged namespace for grammar and collisions.
-
-        Returns a list of problem descriptions (empty means the export
-        is sound); with ``strict=True`` raises :class:`MetricError`
-        instead of returning problems.
-        """
-        with self._lock:
-            metrics = dict(self._metrics)
-        problems: List[str] = []
-        for name in sorted(metrics):
-            if not _NAME_RE.match(name):
-                problems.append(f"invalid metric name {name!r}")
-        for name in sorted(metrics):
-            metric = metrics[name]
-            if metric.kind != "histogram":
-                continue
-            for suffix in _HISTOGRAM_SUFFIXES:
-                other = metrics.get(name + suffix)
-                if other is not None:
-                    problems.append(
-                        f"histogram {name!r} series {name + suffix!r} "
-                        f"collides with registered {other.kind}"
-                    )
-        if strict and problems:
-            raise MetricError(
-                "metric namespace validation failed: "
-                + "; ".join(problems)
-            )
-        return problems
+#: The unified registry (the telemetry plane's name for it).
+MetricRegistry = MetricsRegistry
 
 
 def _parse_bound(text: str) -> float:

@@ -576,3 +576,112 @@ class TestShardCLI:
             "explore", settop_json, "--shard-workers", "h:1",
         ])
         assert code == 1
+
+
+class TestRerunOptionDrift:
+    """A reused workdir or worker directory never serves a journal that
+    was written under different result-affecting options."""
+
+    def test_sharded_rerun_with_keep_ties_is_refused(self, tmp_path):
+        spec = build_settop_spec()
+        explore_sharded(spec, shards=2, mode="inline", workdir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="keep_ties"):
+            explore_sharded(
+                spec, shards=2, mode="inline", workdir=str(tmp_path),
+                keep_ties=True,
+            )
+        fresh = explore_sharded(
+            spec, shards=2, mode="inline", workdir=str(tmp_path),
+            keep_ties=True, resume=False,
+        )
+        solo = explore(spec, keep_ties=True)
+        assert result_doc(fresh.result) == result_doc(solo)
+        assert len(fresh.result.points) == len(solo.points)
+
+    def test_sharded_rerun_with_max_cost_is_refused(self, tmp_path):
+        spec = build_settop_spec()
+        explore_sharded(spec, shards=2, mode="inline", workdir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="max_cost"):
+            explore_sharded(
+                spec, shards=2, mode="inline", workdir=str(tmp_path),
+                max_cost=200,
+            )
+        fresh = explore_sharded(
+            spec, shards=2, mode="inline", workdir=str(tmp_path),
+            max_cost=200, resume=False,
+        )
+        assert fresh.result.front() == explore(spec, max_cost=200).front()
+        assert fresh.result.front() == [(100.0, 2.0), (120.0, 3.0)]
+
+    def test_old_manifest_missing_keys_take_defaults(self, tmp_path):
+        """Manifests store only the options the caller passed: an
+        option left at its default still matches a rerun that names
+        the same default explicitly."""
+        spec = build_settop_spec()
+        explore_sharded(spec, shards=2, mode="inline", workdir=str(tmp_path))
+        again = explore_sharded(
+            spec, shards=2, mode="inline", workdir=str(tmp_path),
+            keep_ties=False, util_bound=0.69,
+        )
+        assert all(o.resumed for o in again.outcomes)
+
+    def test_worker_never_resumes_a_journal_with_other_options(
+        self, tmp_path
+    ):
+        from repro.distributed.worker import run_request
+        from repro.io.json_io import spec_to_dict
+
+        spec = build_settop_spec()
+        shard = make_partition(spec, 1, "band")[0]
+        directory = str(tmp_path / "worker")
+        os.makedirs(directory)
+
+        def request(options):
+            return run_request(directory, {
+                "job": "shard-000",
+                "spec": spec_to_dict(spec),
+                "shard": shard.to_dict(),
+                "options": options,
+            })
+
+        first = request({})
+        assert len(first["result"]["points"]) == 6
+        tied = request({"keep_ties": True})
+        assert not tied["resumed"]
+        solo = result_to_dict(explore(spec, keep_ties=True))
+        assert tied["result"]["points"] == solo["points"]
+        again = request({"keep_ties": True})
+        assert again["resumed"]
+
+
+class TestUnitSets:
+    """``require_units``/``forbid_units`` accept any iterable on every
+    path, sharded and resumed included."""
+
+    def test_sharded_accepts_a_unit_set(self, tmp_path):
+        spec = build_settop_spec()
+        sharded = explore_sharded(
+            spec, shards=2, mode="inline", workdir=str(tmp_path),
+            require_units={"muP2"},
+        )
+        solo = explore(spec, require_units=["muP2"])
+        assert result_doc(sharded.result) == result_doc(solo)
+        manifest = json.loads(
+            (tmp_path / "shards.json").read_text(encoding="utf-8")
+        )
+        assert manifest["options"]["require_units"] == ["muP2"]
+
+    def test_resume_accepts_an_equal_unit_set(self, tmp_path):
+        from repro.resilience import resume_explore
+
+        spec = build_settop_spec()
+        path = str(tmp_path / "run.ckpt")
+        original = ["muP2", "A1"]
+        full = explore_batched(
+            spec, parallel="serial", checkpoint=path,
+            require_units=original,
+        )
+        resumed = resume_explore(path, require_units=set(original))
+        assert result_doc(resumed) == result_doc(full)
+        with pytest.raises(CheckpointError, match="require_units"):
+            resume_explore(path, require_units={"muP2"})
