@@ -16,25 +16,25 @@ traces.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
-import weakref
-
 from .batch import BlockKernel, active_numpy, numpy_version
 from .enumerate import MaskAllocationEnumerator
 from .evaluator import CompiledEvaluator, Verdict, compiled_evaluator
 from .spec import CompiledSpec, EcsInfo, OptionRec
 
-#: One CompiledSpec per live specification object.  Weak keys: the
-#: compiled tables die with the specification; nothing here is ever
-#: pickled (process-pool workers rebuild their own in the initializer).
-_COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 def compiled_spec_for(spec) -> CompiledSpec:
-    """The interned :class:`CompiledSpec` of a frozen specification."""
-    compiled = _COMPILED.get(spec)
+    """The interned :class:`CompiledSpec` of a frozen specification.
+
+    It is held on the specification itself (``spec._compiled``).  The
+    compiled tables refer back to the specification, so the pair is one
+    reference cycle that the garbage collector reclaims once the
+    specification is dropped — with every evaluator, verdict memo and
+    search plan hanging off it.  Nothing here is ever pickled
+    (process-pool workers rebuild their own in the initializer).
+    """
+    compiled = getattr(spec, "_compiled", None)
     if compiled is None:
-        compiled = CompiledSpec(spec)
-        _COMPILED[spec] = compiled
+        compiled = spec._compiled = CompiledSpec(spec)
     return compiled
 
 

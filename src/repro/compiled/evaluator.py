@@ -18,17 +18,35 @@ per-candidate rework:
   because the backtracking search reads only the usable units that can
   own one of the ECS's mapping options or route traffic (see
   ``docs/performance.md`` for the soundness argument);
-* the search itself replays :class:`repro.binding.BindingSolver`
-  decision-for-decision over precompiled option records, so its
-  statistics deltas (invocations, assignments, backtracks, solutions,
-  utilisation rejections) equal the reference solver's, including the
-  generator-abandonment semantics of ``solve()``.
+* a verdict miss splits into a reusable :class:`SearchPlan` and a
+  search run.  The plan — filtered domains, the ``(len(domain), leaf)``
+  order, and each position's earlier neighbours — is interned under the
+  coarser key ``(ecs, usable_mask & ecs.owners)``: the domain filter
+  reads only option-owner bits and the rest is a function of the
+  domains, so misses that differ only in communication units share one
+  plan, and only the run reads those units (through router
+  reachability);
+* the run replays :class:`repro.binding.BindingSolver` decision-for-
+  decision as one iterative search, so its statistics deltas
+  (invocations, assignments, backtracks, solutions, utilisation
+  rejections) equal the reference solver's, including the
+  generator-abandonment semantics of ``solve()`` and of the
+  ``timing_mode="schedule"`` loop.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..binding import Allocation, solve_binding_sat
 from ..core.evaluation import (
@@ -45,6 +63,47 @@ from .spec import CompiledSpec, EcsInfo
 #: Zero solver-stats delta (sat backend: the reference never touches
 #: ``BindingSolver.stats`` on the sat path).
 _ZERO_DELTAS = (0, 0, 0, 0, 0)
+
+
+#: One mapping option as the search reads it:
+#: ``(resource, owner_bit, owner_top, iface, increment, slot)`` (see
+#: :meth:`CompiledEvaluator._template`).
+OptionEntry = Tuple[str, int, int, int, Optional[float], int]
+
+
+class EcsTemplate(NamedTuple):
+    """What every search plan of one ECS shares."""
+
+    #: Per-leaf option entries in mapping-edge order, aligned with
+    #: ``EcsInfo.leaves``.
+    entries: Tuple[Tuple[OptionEntry, ...], ...]
+    #: Number of ECS-local resource slots and interface indices.
+    n_slots: int
+    n_ifaces: int
+
+
+class SearchPlan(NamedTuple):
+    """The set-up of one binding search: the part of a verdict miss that
+    depends on the usable set only through its option-owner bits
+    (``usable & ecs.owners``)."""
+
+    #: Per-position usable mapping options, in search order.
+    domains: Tuple[Tuple[OptionEntry, ...], ...]
+    #: Leaf indices (into ``EcsInfo.leaves``) sorted by
+    #: ``(len(domain), leaf)`` — the reference's MRV order.
+    order: Tuple[int, ...]
+    #: Leaf names in search order.
+    leaves: Tuple[str, ...]
+    #: Per position, the positions of its neighbours bound before it.
+    earlier: Tuple[Tuple[int, ...], ...]
+    #: Number of ECS-local resource slots and interface indices.
+    n_slots: int
+    n_ifaces: int
+
+
+#: Plan sentinel: some leaf has no usable mapping option, so the search
+#: fails before its first assignment.
+_EMPTY_DOMAIN = SearchPlan((), (), (), (), 0, 0)
 
 
 class Verdict:
@@ -105,6 +164,11 @@ class CompiledEvaluator:
         #: Cross-candidate binding verdicts keyed by
         #: ``(ecs_mask, usable_mask & ecs.support)``.
         self._verdicts: Dict[Tuple[int, int], Verdict] = {}
+        #: Binding-search plans keyed by
+        #: ``(ecs_mask, usable_mask & ecs.owners)`` (see ``_plan``).
+        self._plans: Dict[Tuple[int, int], SearchPlan] = {}
+        #: Per-ECS plan templates, keyed by ECS mask (see ``_template``).
+        self._templates: Dict[int, EcsTemplate] = {}
         #: One-slot identity-keyed units->mask memo (the shared loop
         #: calls possible/comm/estimate/evaluate on the same frozenset).
         self._last_units: Optional[FrozenSet[str]] = None
@@ -232,6 +296,9 @@ class CompiledEvaluator:
         # *distinct* selection per candidate, cache hit or not.
         outcome: Dict[int, Verdict] = {}
 
+        sink = self.phase_sink
+        observed = detail is not None or sink is not None
+
         def solve_selection(sel_mask: int) -> Verdict:
             cached = outcome.get(sel_mask)
             if cached is not None:
@@ -241,53 +308,34 @@ class CompiledEvaluator:
             info = cs.ecs_info(sel_mask)
             key = (sel_mask, usable & info.support)
             verdict = self._verdicts.get(key)
-            if detail is None:
-                sink = self.phase_sink
-                if sink is None:
-                    if verdict is None:
-                        verdict, _computed = self._memo_miss(
-                            info, usable, key
-                        )
-                    else:
-                        self.memo_hits += 1
-                else:
-                    t0 = time.perf_counter()
-                    if verdict is None:
-                        verdict, computed = self._memo_miss(
-                            info, usable, key
-                        )
-                    else:
-                        self.memo_hits += 1
-                        computed = False
-                    elapsed = time.perf_counter() - t0
-                    sink.charge(
-                        "binding",
-                        elapsed
-                        - (verdict.timing_seconds if computed else 0.0),
-                    )
-                    if verdict.timing_checks:
-                        sink.charge("timing", verdict.timing_seconds)
-            else:
+            if observed:
                 t0 = time.perf_counter()
-                if verdict is None:
-                    # ``computed`` is False on a warm-store hit: the
-                    # replayed timing_seconds then did not happen inside
-                    # ``elapsed`` and must not be subtracted from it.
-                    verdict, computed = self._memo_miss(info, usable, key)
-                else:
-                    self.memo_hits += 1
-                    computed = False
-                elapsed = time.perf_counter() - t0
-                detail["binding_seconds"] += elapsed - (
-                    verdict.timing_seconds if computed else 0.0
-                )
-                detail["timing_seconds"] += verdict.timing_seconds
-                detail["timing_checks"] += verdict.timing_checks
-                detail["timing_rejections"] += verdict.timing_rejections
-                deltas = verdict.deltas
-                for i in range(5):
-                    acc[i] += deltas[i]
+            if verdict is None:
+                # ``computed`` is False on a warm-store hit: the replayed
+                # timing_seconds then did not happen inside the elapsed
+                # time and must not be subtracted from it.
+                verdict, computed = self._memo_miss(info, usable, key)
+            else:
+                self.memo_hits += 1
+                computed = False
             outcome[sel_mask] = verdict
+            if not observed:
+                return verdict
+            binding_seconds = time.perf_counter() - t0 - (
+                verdict.timing_seconds if computed else 0.0
+            )
+            if detail is None:
+                sink.charge("binding", binding_seconds)
+                if verdict.timing_checks:
+                    sink.charge("timing", verdict.timing_seconds)
+                return verdict
+            detail["binding_seconds"] += binding_seconds
+            detail["timing_seconds"] += verdict.timing_seconds
+            detail["timing_checks"] += verdict.timing_checks
+            detail["timing_rejections"] += verdict.timing_rejections
+            deltas = verdict.deltas
+            for i in range(5):
+                acc[i] += deltas[i]
             return verdict
 
         covered_mask = 0
@@ -491,27 +539,7 @@ class CompiledEvaluator:
         return mask, usable
 
     def _compute_verdict(self, info: EcsInfo, usable: int) -> Verdict:
-        counters = [0, 0, 0, 0, 0]
-        if self.timing_mode == "schedule":
-            checks = 0
-            rejections = 0
-            timing_seconds = 0.0
-            binding: Optional[Dict[str, str]] = None
-            for assignment in self._iter_bindings(
-                info, usable, SCHEDULE_SEARCH_LIMIT, counters
-            ):
-                t0 = time.perf_counter()
-                ok = schedule_meets_periods(self.spec, info.flat, assignment)
-                timing_seconds += time.perf_counter() - t0
-                checks += 1
-                if ok:
-                    binding = assignment
-                    break
-                rejections += 1
-            return Verdict(
-                binding, tuple(counters), checks, rejections, timing_seconds
-            )
-        if self.backend == "sat":
+        if self.backend == "sat" and self.timing_mode != "schedule":
             allocation = Allocation(self.spec, self.cs.names_of(usable))
             result = solve_binding_sat(
                 self.spec,
@@ -527,121 +555,203 @@ class CompiledEvaluator:
                 0,
                 0.0,
             )
-        binding = None
-        for assignment in self._iter_bindings(info, usable, 1, counters):
-            binding = assignment
-            break
-        return Verdict(binding, tuple(counters), 0, 0, 0.0)
+        plan = self._plan(info, usable)
+        if self.timing_mode != "schedule":
+            binding, deltas = self._search(plan, usable, 1)
+            return Verdict(binding, deltas, 0, 0, 0.0)
+        spec = self.spec
+        flat = info.flat
+        checks = 0
+        timing_seconds = 0.0
 
-    def _iter_bindings(
-        self,
-        info: EcsInfo,
-        usable: int,
-        limit: Optional[int],
-        counters: list,
-    ) -> Iterator[Dict[str, str]]:
-        """Decision-for-decision replay of
-        :meth:`repro.binding.BindingSolver.iter_solutions` over the
-        precompiled option records; ``counters`` accumulates the five
-        :class:`~repro.binding.SolverStats` fields at exactly the
-        moments the reference increments them, so abandoning this
-        generator mid-iteration leaves the same totals the reference's
-        abandoned generator leaves."""
-        counters[0] += 1
+        def accept(assignment: Dict[str, str]) -> bool:
+            nonlocal checks, timing_seconds
+            t0 = time.perf_counter()
+            ok = schedule_meets_periods(spec, flat, assignment)
+            timing_seconds += time.perf_counter() - t0
+            checks += 1
+            return ok
+
+        binding, deltas = self._search(
+            plan, usable, SCHEDULE_SEARCH_LIMIT, accept
+        )
+        rejections = checks - (binding is not None)
+        return Verdict(binding, deltas, checks, rejections, timing_seconds)
+
+    def _plan(self, info: EcsInfo, usable: int) -> SearchPlan:
+        """The interned search plan of ``info`` under ``usable``.
+
+        Keyed by ``(ecs_mask, usable & ecs.owners)``: the domain filter
+        reads only option-owner bits, and the order and earlier-neighbour
+        positions are functions of the domains, so every usable mask
+        with the same owner projection gets the same plan."""
+        key = (info.mask, usable & info.owners)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        template = self._templates.get(info.mask)
+        if template is None:
+            template = self._templates[info.mask] = self._template(info)
         domains = []
-        for recs in info.options:
-            domain = [
-                rec for rec in recs if usable >> rec.owner_bit & 1
-            ]
+        for options in template.entries:
+            domain = [e for e in options if usable >> e[1] & 1]
             if not domain:
-                return
+                self._plans[key] = _EMPTY_DOMAIN
+                return _EMPTY_DOMAIN
             domains.append(domain)
         leaves = info.leaves
-        order = sorted(
-            range(len(leaves)),
-            key=lambda i: (len(domains[i]), leaves[i]),
+        # Leaf names are unique, so the index never breaks a tie.
+        order = tuple(
+            index
+            for _size, _leaf, index in sorted(
+                zip(map(len, domains), leaves, range(len(leaves)))
+            )
         )
+        rank = [0] * len(order)
+        for p, index in enumerate(order):
+            rank[index] = p
         neighbors = info.neighbors
+        plan = SearchPlan(
+            tuple(tuple(domains[index]) for index in order),
+            order,
+            tuple(leaves[index] for index in order),
+            tuple(
+                tuple([rank[j] for j in neighbors[index] if rank[j] < p])
+                for p, index in enumerate(order)
+            ),
+            template.n_slots,
+            template.n_ifaces,
+        )
+        self._plans[key] = plan
+        return plan
+
+    def _template(self, info: EcsInfo) -> EcsTemplate:
+        """The plan template of ``info``: each option as the entry
+        ``(resource, owner_bit, owner_top, iface, increment, slot)``.
+        ``increment`` is ``None`` when the utilisation test does not
+        apply; ``slot`` and ``iface`` are ECS-local indices of the
+        resource and of the owner's architecture interface (``-1``:
+        none), so the search keeps its state in small lists."""
         check_util = self.check_utilization
-        util_bound = self.util_bound
-        tops_connected = self.cs.tops_connected
-        comm_tops = self.cs.comm_tops_of(usable)
-        assignment: Dict[str, str] = {}
-        chosen: Dict[str, Any] = {}
-        utilization: Dict[str, float] = {}
-        interface_choice: Dict[int, int] = {}
-        interface_count: Dict[int, int] = {}
-        yielded = 0
+        slots: Dict[str, int] = {}
+        ifaces: Dict[int, int] = {-1: -1}
+        entries = []
+        for recs in info.options:
+            row = []
+            for rec in recs:
+                slot = slots.setdefault(rec.resource, len(slots))
+                iface = ifaces.setdefault(rec.iface_id, len(ifaces) - 1)
+                row.append(
+                    (
+                        rec.resource,
+                        rec.owner_bit,
+                        rec.owner_top,
+                        iface,
+                        rec.util_increment
+                        if check_util and rec.loaded
+                        else None,
+                        slot,
+                    )
+                )
+            entries.append(tuple(row))
+        return EcsTemplate(tuple(entries), len(slots), len(ifaces) - 1)
 
-        def backtrack(position: int) -> Iterator[Dict[str, str]]:
-            nonlocal yielded
-            if limit is not None and yielded >= limit:
-                return
-            if position == len(order):
-                counters[3] += 1
-                yielded += 1
-                yield dict(assignment)
-                return
-            index = order[position]
-            leaf = leaves[index]
-            for rec in domains[index]:
-                counters[1] += 1
-                iface = rec.iface_id
-                if iface >= 0:
-                    current = interface_choice.get(iface)
-                    if current is not None and current != rec.owner_bit:
-                        continue
-                increment = 0.0
-                if check_util and rec.loaded:
-                    increment = rec.util_increment
-                    if (
-                        utilization.get(rec.resource, 0.0) + increment
-                        > util_bound + 1e-12
+    def _search(
+        self,
+        plan: SearchPlan,
+        usable: int,
+        limit: int,
+        accept: Optional[Callable[[Dict[str, str]], bool]] = None,
+    ) -> Tuple[Optional[Dict[str, str]], Tuple[int, int, int, int, int]]:
+        """Decision-for-decision replay of
+        :meth:`repro.binding.BindingSolver.iter_solutions` over a search
+        plan, as one iterative depth-first search.
+
+        Each complete assignment is offered to ``accept`` (``None``
+        accepts the first); the search stops at the first accepted one
+        or after ``limit`` offers.  Returns ``(binding, deltas)``:
+        the accepted assignment (process -> resource, in search order)
+        or ``None``, and the five :class:`~repro.binding.SolverStats`
+        deltas the reference accumulates when its generator is consumed
+        the same way and then abandoned — so a stop at the limit
+        charges no backtracks for the frames it unwinds."""
+        if plan is _EMPTY_DOMAIN:
+            return None, (1, 0, 0, 0, 0)
+        domains, _order, leaves, earlier, n_slots, n_ifaces = plan
+        n = len(domains)
+        util_bound = self.util_bound + 1e-12
+        reach = self.cs.reach_table(usable)
+        utilization = [0.0] * n_slots
+        interface_choice = [-1] * n_ifaces
+        interface_count = [0] * n_ifaces
+        #: Per position: the chosen option, its top node, and the
+        #: iterator over the rest of its domain (resumed on a step back).
+        picked: list = [None] * n
+        tops = [0] * n
+        scans: list = [None] * n
+        assignments = backtracks = solutions = rejections = 0
+        binding: Optional[Dict[str, str]] = None
+        pos = 0
+        scan = iter(domains[0]) if n else None
+        while True:
+            if pos < n:
+                for option in scan:
+                    _resource, bit, top, iface, increment, slot = option
+                    assignments += 1
+                    if iface >= 0:
+                        current = interface_choice[iface]
+                        if current >= 0 and current != bit:
+                            continue
+                    if increment is not None and (
+                        utilization[slot] + increment > util_bound
                     ):
-                        counters[4] += 1
+                        rejections += 1
                         continue
-                feasible = True
-                for other in neighbors.get(leaf, ()):
-                    other_rec = chosen.get(other)
-                    if other_rec is None:
-                        continue
-                    if rec.owner_bit == other_rec.owner_bit:
-                        continue
-                    if rec.owner_top != other_rec.owner_top and not (
-                        tops_connected(
-                            rec.owner_top, other_rec.owner_top, comm_tops
-                        )
-                    ):
-                        feasible = False
-                        break
-                if not feasible:
+                    # Same owner unit implies same top node, so only
+                    # neighbours on another top need a route.
+                    for q in earlier[pos]:
+                        other = tops[q]
+                        if other != top and not reach[top] >> other & 1:
+                            break
+                    else:
+                        break  # every check passed: take ``option``
+                else:
+                    option = None  # domain exhausted
+                if option is not None:
+                    picked[pos] = option
+                    tops[pos] = top
+                    scans[pos] = scan
+                    if increment:
+                        utilization[slot] += increment
+                    if iface >= 0:
+                        interface_choice[iface] = bit
+                        interface_count[iface] += 1
+                    pos += 1
+                    if pos < n:
+                        scan = iter(domains[pos])
                     continue
-                assignment[leaf] = rec.resource
-                chosen[leaf] = rec
-                if increment:
-                    utilization[rec.resource] = (
-                        utilization.get(rec.resource, 0.0) + increment
-                    )
-                if iface >= 0:
-                    interface_choice[iface] = rec.owner_bit
-                    interface_count[iface] = (
-                        interface_count.get(iface, 0) + 1
-                    )
-                yield from backtrack(position + 1)
-                del assignment[leaf]
-                del chosen[leaf]
-                if increment:
-                    utilization[rec.resource] -= increment
-                if iface >= 0:
-                    interface_count[iface] -= 1
-                    if not interface_count[iface]:
-                        del interface_count[iface]
-                        del interface_choice[iface]
-                if limit is not None and yielded >= limit:
-                    return
-            counters[2] += 1
-
-        yield from backtrack(0)
+                backtracks += 1
+            else:
+                solutions += 1
+                offered = {leaves[k]: picked[k][0] for k in range(n)}
+                if accept is None or accept(offered):
+                    binding = offered
+                    break
+                if solutions >= limit:
+                    break
+            # Step back: undo the last position and resume its scan.
+            if pos == 0:
+                break
+            pos -= 1
+            _resource, _bit, _top, iface, increment, slot = picked[pos]
+            if increment:
+                utilization[slot] -= increment
+            if iface >= 0:
+                interface_count[iface] -= 1
+                if not interface_count[iface]:
+                    interface_choice[iface] = -1
+            scan = scans[pos]
+        return binding, (1, assignments, backtracks, solutions, rejections)
 
 
 def compiled_evaluator(

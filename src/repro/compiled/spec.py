@@ -79,6 +79,7 @@ class EcsInfo:
         "options",
         "neighbors",
         "support",
+        "owners",
     )
 
     def __init__(
@@ -88,8 +89,9 @@ class EcsInfo:
         flat: FlatProblem,
         leaves: Tuple[str, ...],
         options: Tuple[Tuple[OptionRec, ...], ...],
-        neighbors: Dict[str, Tuple[str, ...]],
+        neighbors: Tuple[Tuple[int, ...], ...],
         support: int,
+        owners: int,
     ) -> None:
         self.mask = mask
         self.selection = selection
@@ -97,12 +99,43 @@ class EcsInfo:
         self.leaves = leaves
         #: Per-leaf usable mapping options, aligned with ``leaves``.
         self.options = options
-        #: Undirected neighbour adjacency of the flattened edges.
+        #: Undirected neighbour adjacency of the flattened edges, as
+        #: leaf indices aligned with ``leaves``.
         self.neighbors = neighbors
         #: Relevance projection mask: the union of every option's
         #: ``owner_mask`` plus all communication units — the only unit
         #: bits this ECS's binding verdict can depend on.
         self.support = support
+        #: Union of ``1 << owner_bit`` over every option: the unit bits
+        #: the binding search's domain filter reads (the search-plan
+        #: projection, a subset of ``support``).
+        self.owners = owners
+
+
+class _ReachTable(dict):
+    """Top node -> reachable top-node bitmask under one set of usable
+    comm nodes, filled by a breadth-first search on first access."""
+
+    __slots__ = ("adj", "comm_tops")
+
+    def __init__(self, adj: Tuple[int, ...], comm_tops: int) -> None:
+        super().__init__()
+        self.adj = adj
+        self.comm_tops = comm_tops
+
+    def __missing__(self, a: int) -> int:
+        adj = self.adj
+        comm_tops = self.comm_tops
+        reach = 1 << a
+        frontier = 1 << a
+        while frontier:
+            i = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = adj[i] & ~reach
+            reach |= new
+            frontier |= new & comm_tops
+        self[a] = reach
+        return reach
 
 
 class _SelectionMemo:
@@ -336,7 +369,7 @@ class CompiledSpec:
         self._flex_cache: Dict[Tuple[bool, int], float] = {}
         self._comm_cache: Dict[int, bool] = {}
         self._comm_tops_cache: Dict[Tuple[int, int], bool] = {}
-        self._reach_cache: Dict[Tuple[int, int], int] = {}
+        self._reach_tables: Dict[int, _ReachTable] = {}
         self._ecs_table: Dict[int, EcsInfo] = {}
         self._sel_memos: Dict[Tuple[int, Optional[str]], _SelectionMemo] = {}
         #: Last ``(frozenset, mask)`` yielded by a mask enumerator — the
@@ -548,28 +581,21 @@ class CompiledSpec:
     # ------------------------------------------------------------------
     # Router reachability (O(1) connectivity after a cached BFS)
     # ------------------------------------------------------------------
-    def tops_connected(self, a: int, b: int, comm_tops: int) -> bool:
-        """Mirror of :meth:`repro.binding.routing.Router.connected` for
-        present top nodes ``a``/``b`` under usable comm nodes
-        ``comm_tops`` (traffic is forwarded through comm nodes only, so
-        the verdict is independent of which *functional* nodes are
-        present)."""
-        if a == b:
-            return True
-        key = (comm_tops, a)
-        reach = self._reach_cache.get(key)
-        if reach is None:
-            adj = self.top_adj_masks
-            reach = 1 << a
-            frontier = 1 << a
-            while frontier:
-                i = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                new = adj[i] & ~reach
-                reach |= new
-                frontier |= new & comm_tops
-            self._reach_cache[key] = reach
-        return bool(reach >> b & 1)
+    def reach_table(self, usable: int) -> _ReachTable:
+        """Router reachability under the usable communication units of
+        ``usable``: ``table[a]`` is the top-node bitmask reachable from
+        present top node ``a``, so top ``b`` is connected to ``a``
+        exactly when bit ``b`` is set (mirror of
+        :meth:`repro.binding.routing.Router.connected`; traffic is
+        forwarded through comm nodes only, so the verdict is
+        independent of which *functional* nodes are present).  One
+        lazily filled table per comm-unit projection."""
+        key = usable & self.comm_units_mask
+        table = self._reach_tables.get(key)
+        if table is None:
+            table = _ReachTable(self.top_adj_masks, self.comm_tops_of(usable))
+            self._reach_tables[key] = table
+        return table
 
     def comm_tops_of(self, usable: int) -> int:
         """Top-node bitmask of the usable communication units."""
@@ -696,18 +722,31 @@ class CompiledSpec:
                 )
         options = tuple(self.leaf_options[leaf] for leaf in leaves)
         support = self.comm_support
+        owners = 0
         for recs in options:
             for rec in recs:
                 support |= rec.owner_mask
+                owners |= 1 << rec.owner_bit
         # Undirected neighbour adjacency of the flattened edges
-        # (self-loops skipped), exactly as BindingSolver._neighbors.
-        adjacency: Dict[str, set] = {}
+        # (self-loops skipped), as BindingSolver._neighbors, over leaf
+        # indices: an edge to a non-leaf never meets a bound process.
+        index = {leaf: i for i, leaf in enumerate(leaves)}
+        adjacency: List[set] = [set() for _ in leaves]
         for src, dst in flat.edges:
-            if src == dst:
+            i = index.get(src)
+            j = index.get(dst)
+            if i is None or j is None or i == j:
                 continue
-            adjacency.setdefault(src, set()).add(dst)
-            adjacency.setdefault(dst, set()).add(src)
-        neighbors = {k: tuple(v) for k, v in adjacency.items()}
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+        neighbors = tuple(tuple(sorted(adj)) for adj in adjacency)
         return EcsInfo(
-            sel_mask, selection, flat, leaves, options, neighbors, support
+            sel_mask,
+            selection,
+            flat,
+            leaves,
+            options,
+            neighbors,
+            support,
+            owners,
         )

@@ -51,6 +51,17 @@ class SpecificationGraph:
         #: once the specification is frozen, so repeated explorations,
         #: resumes and service slices stop rebuilding it.
         self._possible_expr: Optional[Any] = None
+        #: The compiled kernel's tables and verdict memos
+        #: (:func:`repro.compiled.compiled_spec_for`), built on first
+        #: use.  They refer back to this specification, so the two are
+        #: reclaimed together; they are process-local and left out of
+        #: pickles and copies.
+        self._compiled: Optional[Any] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state["_compiled"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Construction

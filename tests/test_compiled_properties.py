@@ -12,9 +12,17 @@
   flat problem) changes no solver statistics.
 * The possible-resource-allocation expression is compiled once per
   frozen specification.
+* Binding-search plans are keyed by the owner projection: usable sets
+  that differ only in communication units share one plan yet keep
+  their own verdicts, and a dropped specification frees its plans.
+  The compiled tables stay out of a specification's pickles and copies.
 """
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +33,7 @@ from repro.activation import flatten
 from repro.binding import Allocation, BindingSolver, SolverStats
 from repro.casestudies import build_settop_spec
 from repro.compiled import compiled_evaluator
-from repro.core import final_front, make_evaluator
+from repro.core import explore, final_front, make_evaluator
 from repro.core.candidates import (
     AllocationEnumerator,
     possible_allocation_expr,
@@ -34,6 +42,7 @@ from repro.core.ecs import iter_selections
 from repro.spec.reduce import activatable_clusters
 from repro.core.pareto import dominates
 from repro.core.result import Implementation
+from repro.spec import ArchitectureGraph, ProblemGraph, SpecificationGraph
 
 
 def outcome_of(evaluator, units):
@@ -196,3 +205,67 @@ def test_possible_allocation_expr_cached_on_frozen_spec():
 def test_possible_allocation_expr_cache_is_per_spec():
     a, b = build_settop_spec(), build_settop_spec()
     assert possible_allocation_expr(a) is not possible_allocation_expr(b)
+
+
+def bus_spec():
+    """``p -> q`` with ``p`` only on ``cpu1`` and ``q`` only on ``cpu2``:
+    a binding exists exactly when ``bus`` joins the two processors."""
+    problem = ProblemGraph("P")
+    problem.add_vertex("p")
+    problem.add_vertex("q")
+    problem.add_edge("p", "q")
+    arch = ArchitectureGraph("A")
+    arch.add_resource("cpu1", cost=10.0)
+    arch.add_resource("cpu2", cost=10.0)
+    arch.add_bus("bus", 1.0, "cpu1", "cpu2")
+    spec = SpecificationGraph(problem, arch, name="bus")
+    spec.map("p", "cpu1", 10.0)
+    spec.map("q", "cpu2", 10.0)
+    return spec.freeze()
+
+
+def test_search_plan_shared_across_comm_units_verdicts_not():
+    spec = bus_spec()
+    evaluator = compiled_evaluator(spec)
+    cs = evaluator.cs
+    (sel_mask,) = cs.selection_masks(cs.activatable_mask(cs.full_mask), None)
+    info = cs.ecs_info(sel_mask)
+    with_bus = cs.usable_mask(cs.mask_of(["cpu1", "cpu2", "bus"]))
+    without_bus = cs.usable_mask(cs.mask_of(["cpu1", "cpu2"]))
+    # Equal owner projection, different support projection.
+    assert with_bus & info.owners == without_bus & info.owners
+    assert with_bus & info.support != without_bus & info.support
+
+    assert evaluator.evaluate(["cpu1", "cpu2", "bus"]) is not None
+    assert evaluator.evaluate(["cpu1", "cpu2"]) is None
+    # Two verdict misses, one plan object serving both.
+    assert evaluator.memo_misses == 2
+    assert len(evaluator._plans) == 1
+    plan = evaluator._plan(info, with_bus)
+    assert evaluator._plan(info, without_bus) is plan
+    assert evaluator._verdicts[(sel_mask, with_bus & info.support)].binding
+    assert (
+        evaluator._verdicts[(sel_mask, without_bus & info.support)].binding
+        is None
+    )
+
+
+def test_dropped_spec_frees_its_plans():
+    spec = bus_spec()
+    evaluator = compiled_evaluator(spec)
+    evaluator.evaluate(["cpu1", "cpu2", "bus"])
+    assert evaluator._plans
+    refs = [weakref.ref(obj) for obj in (spec, evaluator.cs, evaluator)]
+    del spec, evaluator
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+
+
+def test_compiled_tables_stay_out_of_pickles_and_copies():
+    spec = build_settop_spec()
+    front = explore(spec).front()
+    assert spec._compiled is not None
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert clone._compiled is None
+        assert explore(clone).front() == front
+    assert spec._compiled is not None
